@@ -94,17 +94,17 @@ def test_sync_engine_occupancy_stays_consistent_under_random_moves():
             if rng.random() < 0.6
         }
         engine.step(moves)
-    positions = engine.positions()
+    positions = engine.kernel.positions()
     for node in graph.nodes():
         expected = sorted(a for a, pos in positions.items() if pos == node)
-        assert [a.agent_id for a in engine.agents_at(node)] == expected
-        assert engine.occupied(node) == bool(expected)
+        assert [a.agent_id for a in engine.kernel.agents_at(node)] == expected
+        assert engine.kernel.occupied(node) == bool(expected)
     metrics = engine.finalize_metrics()
     assert metrics.rounds == 500
     assert metrics.total_moves == sum(
-        engine._moves_per_agent.get(a, 0) for a in agents
+        engine.kernel.moves_per_agent.get(a, 0) for a in agents
     )
-    assert metrics.max_moves_per_agent == max(engine._moves_per_agent.values())
+    assert metrics.max_moves_per_agent == max(engine.kernel.moves_per_agent.values())
 
 
 def test_engine_round_counters_unchanged_by_fast_path():
@@ -305,7 +305,7 @@ def test_kernel_sync_round_throughput_within_10pct_of_seed():
     seed_engine = _sync_workload(_SeedSyncEngine)
     kernel_engine = _sync_workload(SyncEngine)
     assert kernel_engine.metrics.total_moves == seed_engine.total_moves
-    assert kernel_engine.positions() == {
+    assert kernel_engine.kernel.positions() == {
         a.agent_id: a.position for a in seed_engine.agents.values()
     }
 
@@ -325,7 +325,7 @@ def test_kernel_async_activation_throughput_within_10pct_of_seed():
     kernel_engine = _async_workload(AsyncEngine)
     assert kernel_engine.metrics.total_moves == seed_engine.total_moves
     assert kernel_engine.metrics.epochs == seed_engine.epochs
-    assert kernel_engine.positions() == {
+    assert kernel_engine.kernel.positions() == {
         a.agent_id: a.position for a in seed_engine.agents.values()
     }
 

@@ -2,10 +2,13 @@
 
 Two locks, matching the observability PR's acceptance criteria:
 
-* **Off means free** -- with tracing disabled the kernel hot path must stay
-  on the committed PR-6 baseline (``benchmarks/BENCH_kernel.json``): the
-  recorder hooks compile down to one ``is None`` check per round, and the
-  bench-guard ratio check (the same one CI runs) is how that is enforced.
+* **Off means free** -- with tracing disabled the recorder hooks compile
+  down to one ``is None`` check per tick.  Their cost is locked in the same
+  run by ``benchmarks/test_engine_fastpath.py`` (the kernel engines within
+  10% of the distilled hook-free seed loops); here the untraced quick bench
+  must keep the committed ``benchmarks/BENCH_kernel.json`` shape and the
+  same-run speedup floor.  The ratio comparison against a baseline runs in
+  CI's bench-guard, against the base commit on the same runner.
 * **On is bounded** -- enabled tracing diffs the full agent state every tick,
   so it is *not* free; the committed trajectory data in
   ``benchmarks/BENCH_trace.json`` (same ``repro-bench-v1`` schema as the
@@ -24,15 +27,15 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.runner.bench import BENCH_FORMAT, check_report, load_report, run_bench, write_report
+from repro.runner.bench import BENCH_FORMAT, load_report, run_bench, write_report
 from repro.runner.execute import run_scenario
 from repro.runner.scenario import ScenarioSpec
 from repro.sim.backends import backend_available
 from repro.sim.trace import trace_stats
 
-#: Fresh-vs-baseline band for the tracing-off bench-guard leg.  Wider than
-#: CI's 25% because this file also runs on developer laptops mid-build.
-OFF_TOLERANCE = 0.35
+#: Same-run vectorized/reference floor for the tracing-off quick bench (the
+#: quick-tier floor of ``benchmarks/test_backend_throughput.py``).
+OFF_MIN_SPEEDUP = 8.0
 
 #: Portable ceiling for the traced/untraced wall-time ratio.  The committed
 #: trajectory measures ~1.2-2.5x; 8x still catches a recorder accidentally
@@ -42,7 +45,7 @@ MAX_OVERHEAD = 8.0
 #: Median-of-N estimator keeps a background blip from deciding a ratio.
 REPEATS = 3
 
-#: The measured worlds: one per engine family plus the batch-stepping tier,
+#: The measured worlds: one per engine family plus the random-walk baseline,
 #: all big enough that per-run fixed costs do not dominate.
 SCENARIOS = [
     ("rooted_sync", ScenarioSpec(family="complete", params={"n": 48}, k=32)),
@@ -113,16 +116,22 @@ def run_trace_bench(seed: int = 0) -> Dict[str, Any]:
     not backend_available("vectorized"), reason="numpy not installed"
 )
 def test_tracing_off_stays_on_the_kernel_baseline():
-    """Bench-guard leg: the untraced hot path still matches PR 6's baseline.
+    """The untraced quick bench measures every workload of the committed
+    baseline's quick tier and holds the same-run floor on each.
 
-    The recorder hooks sit inside ``step``/``run_walk``; if they cost anything
-    while disabled, the reference/vectorized ratio drifts and this gate trips.
+    Ratios are not compared with the committed numbers: they were measured
+    on another machine, and the vectorized/reference ratio moves with the
+    host.
     """
     payload = run_bench(["reference", "vectorized"], quick=True)
-    problems = check_report(
-        payload, "benchmarks/BENCH_kernel.json", tolerance=OFF_TOLERANCE
-    )
-    assert problems == [], "\n".join(problems)
+    baseline = load_report("benchmarks/BENCH_kernel.json")
+    speedups = payload["tiers"]["quick"]["speedups"]
+    assert set(speedups) == set(baseline["tiers"]["quick"]["speedups"])
+    for workload, ratios in speedups.items():
+        assert ratios["vectorized"] >= OFF_MIN_SPEEDUP, (
+            f"untraced {workload} speedup {ratios['vectorized']:.1f}x fell "
+            f"below {OFF_MIN_SPEEDUP:.0f}x"
+        )
 
 
 def test_traced_runs_stay_under_the_overhead_ceiling():

@@ -26,7 +26,7 @@ from repro.agents.agent import Agent, AgentRole
 from repro.agents.memory import FieldKind, MemoryModel
 from repro.analysis.verification import is_dispersed
 from repro.graph.port_graph import PortLabeledGraph
-from repro.sim.adversary import Adversary
+from repro.sim.adversary import Scheduler
 from repro.sim.async_engine import AsyncEngine, Move, Stay, WaitUntil
 from repro.sim.result import DispersionResult
 
@@ -41,7 +41,7 @@ class KSAsyncDispersion:
         graph: PortLabeledGraph,
         k: int,
         start_node: int = 0,
-        adversary: Optional[Adversary] = None,
+        adversary: Optional[Scheduler] = None,
         max_activations: Optional[int] = None,
     ) -> None:
         if k < 1:
@@ -72,7 +72,7 @@ class KSAsyncDispersion:
         metrics = self.engine.finalize_metrics()
         return DispersionResult(
             dispersed=is_dispersed(self.agents.values()),
-            positions=self.engine.positions(),
+            positions=self.engine.kernel.positions(),
             metrics=metrics,
             dfs_parent=list(self.dfs_parent),
             algorithm="KSStyleAsyncDisp",
@@ -81,13 +81,13 @@ class KSAsyncDispersion:
 
     # --------------------------------------------------------------- helpers
     def _settler_at(self, node: int) -> Optional[Agent]:
-        for agent in self.engine.agents_at(node):
+        for agent in self.engine.kernel.agents_at(node):
             if agent.settled and agent.home == node:
                 return agent
         return None
 
     def _settle_smallest_at(self, node: int, parent_port: Optional[int]) -> Agent:
-        candidates = [a for a in self.engine.agents_at(node) if not a.settled]
+        candidates = [a for a in self.engine.kernel.agents_at(node) if not a.settled]
         non_leader = [a for a in candidates if a is not self.leader]
         pool = non_leader if non_leader else candidates
         agent = min(pool, key=lambda a: a.agent_id)
@@ -99,7 +99,7 @@ class KSAsyncDispersion:
     def _followers_at(self, node: int) -> List[Agent]:
         return [
             a
-            for a in self.engine.agents_at(node)
+            for a in self.engine.kernel.agents_at(node)
             if not a.settled and a is not self.leader
         ]
 
@@ -170,7 +170,7 @@ def ks_async_dispersion(
     graph: PortLabeledGraph,
     k: int,
     start_node: int = 0,
-    adversary: Optional[Adversary] = None,
+    adversary: Optional[Scheduler] = None,
     **kwargs,
 ) -> DispersionResult:
     """Run the OPODIS'21-style ASYNC baseline and return its result."""

@@ -53,7 +53,7 @@ def random_walk_dispersion(
             if not agent.settled:
                 by_node.setdefault(agent.position, []).append(agent)
         for node, group in by_node.items():
-            if any(a.settled and a.home == node for a in engine.agents_at(node)):
+            if any(a.settled and a.home == node for a in engine.kernel.agents_at(node)):
                 continue
             winner = min(group, key=lambda a: a.agent_id)
             winner.settle(node, None)
@@ -73,7 +73,7 @@ def random_walk_dispersion(
     metrics = engine.finalize_metrics()
     return DispersionResult(
         dispersed=is_dispersed(agents.values()),
-        positions=engine.positions(),
+        positions=engine.kernel.positions(),
         metrics=metrics,
         algorithm="RandomWalkScatter",
         notes={"k": k, "seed": seed, "round_budget": max_rounds},

@@ -61,7 +61,7 @@ Examples
     repro trace artifacts/run-trace.json --html artifacts/replay.html
     repro report artifacts/smoke.json
     repro bench --quick --out artifacts/BENCH_kernel.json
-    repro bench --quick --check benchmarks/BENCH_kernel.json --tolerance 0.25
+    repro bench --quick --workload scatter --check artifacts/BENCH_base.json
     repro db query artifacts/runs.sqlite --algorithm rooted_sync --out artifacts/q.json
     repro db diff artifacts/old.json artifacts/runs.sqlite
     repro db import artifacts/runs.sqlite artifacts/legacy-sweep.json
@@ -446,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload",
         action="append",
         default=[],
-        choices=["random_walk", "dispersion", "scatter", "probe"],
-        help="workload(s) to measure (repeatable; default: all four)",
+        choices=["scatter", "probe"],
+        help="workload(s) to measure (repeatable; default: both)",
     )
     bench_p.add_argument(
         "--nodes",
@@ -481,10 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         default=None,
         metavar="BASELINE",
-        help="compare against a committed BENCH_kernel.json: the "
-        "vectorized/reference speedup ratio per workload must stay within "
-        "--tolerance of the baseline's (absolute steps/s are reported but "
-        "not gated -- they are hardware-dependent)",
+        help="compare against a baseline report measured on the same "
+        "machine: the vectorized/reference speedup ratio per workload must "
+        "stay within --tolerance of the baseline's (absolute steps/s are "
+        "reported but not gated)",
     )
     bench_p.add_argument(
         "--tolerance",

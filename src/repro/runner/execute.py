@@ -24,7 +24,7 @@ from repro.runner.scenario import (
     build_scheduler,
     derive_seed,
 )
-from repro.sim.adversary import Adversary
+from repro.sim.adversary import Scheduler
 from repro.sim.async_engine import AsyncEngine
 from repro.sim.faults import FaultSchedule
 from repro.sim.instrumentation import InstrumentationConfig, instrument
@@ -102,7 +102,7 @@ def build_engine(
     setting: str = "sync",
     graph: Optional[PortLabeledGraph] = None,
     agents: Optional[Iterable[Agent]] = None,
-    adversary: Optional[Adversary] = None,
+    adversary: Optional[Scheduler] = None,
     max_rounds: Optional[int] = None,
     max_activations: Optional[int] = None,
     fault_schedule: Optional[FaultSchedule] = None,

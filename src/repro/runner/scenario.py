@@ -21,12 +21,12 @@ from repro.graph import generators
 from repro.graph.port_graph import PortAssignment, PortLabeledGraph
 from repro.sim.adversary import (
     AdaptiveCollisionAdversary,
-    Adversary,
     BoundedDelayScheduler,
     LazySettlerAdversary,
     LockstepScheduler,
     RandomAdversary,
     RoundRobinAdversary,
+    Scheduler,
     SemiSyncScheduler,
     StarvationAdversary,
 )
@@ -398,7 +398,7 @@ def build_graph(spec: ScenarioSpec) -> PortLabeledGraph:
     )
 
 
-def build_adversary(spec: ScenarioSpec) -> Adversary:
+def build_adversary(spec: ScenarioSpec) -> Scheduler:
     """Materialize the scenario's fully asynchronous activation adversary."""
     if spec.adversary == "round_robin":
         return RoundRobinAdversary()
@@ -417,7 +417,7 @@ def build_adversary(spec: ScenarioSpec) -> Adversary:
     )
 
 
-def build_scheduler(spec: ScenarioSpec) -> Adversary:
+def build_scheduler(spec: ScenarioSpec) -> Scheduler:
     """Materialize the scenario's activation scheduler (the synchrony axis).
 
     The classic ``"async"`` discipline defers to :func:`build_adversary` (the

@@ -21,12 +21,12 @@ Program code runs only while its agent is activated, so any reads/writes it
 performs against co-located agents model the Communicate/Compute phases of that
 agent's own cycle.
 
-Like :class:`~repro.sim.sync_engine.SyncEngine`, this engine is a thin facade
-over the shared :class:`~repro.sim.kernel.ExecutionKernel`: the kernel owns
-the world (agent table, occupancy, move mechanics, fault wiring, observation
-queries) while this class contributes the activation-level scheduling
-discipline -- program/pending bookkeeping, epoch counting, and the per-cycle
-fault clock.  Because scheduling is fully delegated to the pluggable
+Like :class:`~repro.sim.sync_engine.SyncEngine`, this engine schedules the
+shared :class:`~repro.sim.kernel.ExecutionKernel`: the kernel owns the world
+(agent table, occupancy, move mechanics, fault wiring, observation queries,
+asked of ``engine.kernel``) while this class contributes the activation-level
+scheduling discipline -- program/pending bookkeeping, epoch counting, and the
+per-cycle fault clock.  Because scheduling is fully delegated to the pluggable
 :class:`~repro.sim.adversary.Scheduler` family, the same engine covers the
 entire non-lockstep synchrony spectrum: classic ASYNC adversaries,
 semi-synchronous round subsets, and k-bounded-delay schedules.
@@ -35,13 +35,13 @@ semi-synchronous round subsets, and k-bounded-delay schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Set, Union
 
 from repro.agents.agent import Agent
 from repro.graph.port_graph import PortLabeledGraph
-from repro.sim.adversary import Adversary, RandomAdversary
+from repro.sim.adversary import RandomAdversary, Scheduler
 from repro.sim.backends import KernelBackend
-from repro.sim.faults import AgentFaultView, FaultInjector
+from repro.sim.faults import FaultInjector
 from repro.sim.invariants import InvariantChecker
 from repro.sim.kernel import ExecutionKernel
 from repro.sim.metrics import RunMetrics
@@ -98,26 +98,24 @@ class AsyncEngine:
         name or instance; ``None`` resolves from the ambient context, falling
         back to the ``"reference"`` default.
 
-    Construction is fully delegated to
-    :meth:`ExecutionKernel.for_engine` (shared verbatim with
-    :class:`~repro.sim.sync_engine.SyncEngine`); scenario-level wiring lives
-    one layer up in :func:`repro.runner.execute.build_engine`.
+    Scenario-level wiring lives one layer up in
+    :func:`repro.runner.execute.build_engine`.
     """
 
     def __init__(
         self,
         graph: PortLabeledGraph,
         agents: Iterable[Agent],
-        adversary: Optional[Adversary] = None,
+        adversary: Optional[Scheduler] = None,
         max_activations: Optional[int] = None,
         fault_injector: Optional[FaultInjector] = None,
         invariant_checker: Optional[InvariantChecker] = None,
         backend: Union[None, str, KernelBackend] = None,
     ) -> None:
-        self._kernel = ExecutionKernel.for_engine(
-            "async",
+        self._kernel = ExecutionKernel(
             graph,
             agents,
+            time_attr="activations",
             fault_injector=fault_injector,
             invariant_checker=invariant_checker,
             backend=backend,
@@ -152,22 +150,6 @@ class AsyncEngine:
     def metrics(self) -> RunMetrics:
         return self._kernel.metrics
 
-    @property
-    def fault_injector(self) -> Optional[FaultInjector]:
-        return self._kernel.fault_injector
-
-    @property
-    def invariant_checker(self) -> Optional[InvariantChecker]:
-        return self._kernel.invariant_checker
-
-    @property
-    def _occupancy(self) -> List[Set[int]]:
-        return self._kernel.occupancy
-
-    @property
-    def _moves_per_agent(self) -> Dict[int, int]:
-        return self._kernel.moves_per_agent
-
     # ------------------------------------------------------------- programs
     def assign(self, agent_id: int, program: Program) -> None:
         """Install a program on an agent (overwrites any previous program).
@@ -191,34 +173,20 @@ class AsyncEngine:
         self._pending[agent_id] = None
 
     # ------------------------------------------------------------ scheduling
-    @property
-    def epochs(self) -> int:
-        """Completed epochs so far (see :meth:`close_epoch` for the final partial one)."""
-        return self._kernel.metrics.epochs
-
-    def run_until(self, predicate: Callable[[], bool], check_every: int = 1) -> None:
+    def run_until(self, predicate: Callable[[], bool]) -> None:
         """Activate agents (per the scheduler) until ``predicate()`` is true.
 
-        ``check_every`` batches the predicate evaluation: the predicate is
-        checked once before the run and then after every ``check_every``
-        activations, so an expensive global predicate (e.g. "all agents
-        settled" over a large population) amortizes over a burst of cheap
-        activations.  The run may therefore overshoot the predicate's first
-        true point by up to ``check_every - 1`` activations; the default of 1
-        preserves exact per-activation checking.
+        The predicate is checked once before the run and then after every
+        activation.
         """
-        if check_every < 1:
-            raise ValueError(f"check_every must be >= 1, got {check_every}")
         metrics = self._kernel.metrics
         while not predicate():
-            for _ in range(check_every):
-                agent_id = self.adversary.next_agent()
-                self._activate(agent_id)
-                if self.max_activations is not None and metrics.activations > self.max_activations:
-                    raise RuntimeError(
-                        f"exceeded max_activations={self.max_activations}; "
-                        "the algorithm is probably livelocked"
-                    )
+            self._activate(self.adversary.next_agent())
+            if self.max_activations is not None and metrics.activations > self.max_activations:
+                raise RuntimeError(
+                    f"exceeded max_activations={self.max_activations}; "
+                    "the algorithm is probably livelocked"
+                )
         self.close_epoch()
 
     def close_epoch(self) -> None:
@@ -296,39 +264,6 @@ class AsyncEngine:
             checker.after_tick(now + 1)
         if kernel.trace is not None:
             kernel.trace.record_activation(agent_id)
-
-    # ------------------------------------------------------------ observation
-    # The kernel's observation queries are the single documented query
-    # surface (the v2 fault-visibility contract lives there, shared verbatim
-    # with the SYNC engine and with every backend); the fault clock inside an
-    # activation is the executing cycle's tick.  The methods below are thin
-    # aliases kept for engine-level ergonomics and back-compat; new code --
-    # like the migrated drivers in ``repro.core`` -- should call
-    # ``engine.kernel.<query>`` directly.
-
-    def fault_view(self, agent_id: int) -> AgentFaultView:
-        """The agent's :class:`AgentFaultView` at the current fault clock."""
-        return self._kernel.fault_view(agent_id)
-
-    def agents_at(self, node: int) -> List[Agent]:
-        """Agents at ``node`` that participate in communication right now."""
-        return self._kernel.agents_at(node)
-
-    def occupied(self, node: int) -> bool:
-        """True when at least one agent body is at ``node`` (physical query)."""
-        return self._kernel.occupied(node)
-
-    def settled_agent_at(self, node: int) -> Optional[Agent]:
-        """The settled agent at ``node`` that answers probes right now."""
-        return self._kernel.settled_agent_at(node)
-
-    def settled_agents_at(self, node: int) -> List[Agent]:
-        """All settled agents at ``node`` that answer probes right now."""
-        return self._kernel.settled_agents_at(node)
-
-    def positions(self) -> Dict[int, int]:
-        """Snapshot of ``agent_id -> node``."""
-        return self._kernel.positions()
 
     def finalize_metrics(self) -> RunMetrics:
         """Fold per-agent memory peaks (and any fault/invariant counters) into

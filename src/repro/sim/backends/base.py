@@ -21,34 +21,27 @@ interchangeable here -- same mutations, same metrics accounting, same error
 messages, same query results -- so algorithm drivers produce byte-identical
 records on any backend.
 
-**Batch-stepping tier**.  Whole phases executed inside the backend, without
+**Batch-stepping tier** -- the driver-phase primitives: the settled-agent
+queries (:meth:`settled_present` / :meth:`home_settler_at` /
+:meth:`has_home_settler`), :meth:`run_probe_round`, :meth:`run_scatter`, and
+:meth:`run_phase`.  Whole phases executed inside the backend, without
 returning to Python per agent.  This is where a vectorized backend earns its
 keep: the base class provides generic per-agent implementations (the oracle
 legs of ``repro bench``), and fast backends override them with array code.
-The tier has two determinism grades:
-
-* :meth:`KernelBackend.run_walk` is seed-deterministic *per backend* but not
-  across backends (they draw from different RNG families); cross-backend
-  tests assert semantic invariants, not byte equality.
-* The driver-phase primitives -- the settled-agent queries
-  (:meth:`settled_present` / :meth:`home_settler_at` /
-  :meth:`has_home_settler`), :meth:`run_probe_round`, :meth:`run_scatter`,
-  and :meth:`run_phase` -- are **deterministic**, so they inherit the per-op
-  parity contract: every backend must produce byte-identical records (same
-  mutations, metrics, error messages, query answers).  The DFS/probe-style
-  algorithm drivers in :mod:`repro.core` ride these, which is what puts the
-  paper's own algorithms on the fast path
-  (``tests/test_backend_differential.py`` pins the equivalence).
+Every primitive is deterministic, so the tier inherits the per-op parity
+contract: every backend must produce byte-identical records (same mutations,
+metrics, error messages, query answers).  The DFS/probe-style algorithm
+drivers in :mod:`repro.core` ride these, which is what puts the paper's own
+algorithms on the fast path (``tests/test_backend_differential.py`` pins the
+equivalence).
 
 The batch tier honours crash/freeze fault masks and edge churn via the
-kernel's injector; ``run_walk`` does not run the invariant checker, while the
-driver-phase primitives defer to the generic per-round path whenever a
+kernel's injector, and defers to the generic per-round path whenever a
 checker or trace recorder must observe every round.
 """
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Mapping, Optional, Sequence, Set
 
@@ -123,72 +116,9 @@ class KernelBackend(ABC):
     def occupancy_counts(self) -> Sequence[int]:
         """Per-node body counts (the occupancy histogram)."""
 
-    # ------------------------------------------------------- batch stepping
-    def run_walk(self, rounds: int, seed: int, settle: bool = False) -> int:
-        """Run up to ``rounds`` lockstep random-walk rounds inside the backend.
-
-        Each round, every unsettled agent that is not fault-blocked exits
-        through a uniformly random port of its current node; with ``settle``,
-        after the moves land each node holding no settled agent settles its
-        minimum-id unblocked visitor (the random-walk dispersion heuristic).
-        Stops early once every agent is settled.  Returns the number of edge
-        crossings performed; agent objects, occupancy, ``moves_per_agent``,
-        and ``metrics`` (rounds/total_moves/max_moves_per_agent) are left
-        exactly as if the rounds had been stepped one by one.
-
-        This generic implementation walks agents in Python (it is the bench's
-        reference leg); vectorized backends override it with array code.
-        """
-        kernel = self.kernel
-        assert kernel is not None, "backend not bound to a kernel"
-        graph = kernel.graph
-        agents = kernel.agents
-        rng = random.Random(seed)
-        ordered = [agents[a] for a in sorted(agents)]
-        injector = kernel.fault_injector
-        steps = 0
-        for _ in range(rounds):
-            if settle and all(a.settled for a in ordered):
-                break
-            now = kernel.metrics.rounds
-            blocked: frozenset[int] = frozenset()
-            if injector is not None:
-                injector.begin_tick(now, kernel)
-                blocked = injector.blocked_cycle_agents(now)
-            moves: Dict[int, Optional[int]] = {}
-            for agent in ordered:
-                if agent.settled or agent.agent_id in blocked:
-                    continue
-                moves[agent.agent_id] = rng.randint(1, graph.degree(agent.position))
-            self.apply_batch(moves)
-            steps += len(moves)
-            kernel.metrics.rounds += 1
-            if settle:
-                self._settle_pass(blocked)
-            if kernel.trace is not None:
-                kernel.trace.record_tick()
-        return steps
-
-    def _settle_pass(self, blocked: frozenset[int]) -> None:
-        """Settle the min-id unblocked visitor at every settler-free node."""
-        kernel = self.kernel
-        agents = kernel.agents
-        settled_nodes = {a.home for a in agents.values() if a.settled}
-        by_node: Dict[int, int] = {}
-        for agent_id in sorted(agents):
-            agent = agents[agent_id]
-            if agent.settled or agent.agent_id in blocked:
-                continue
-            if agent.position in settled_nodes or agent.position in by_node:
-                continue
-            by_node[agent.position] = agent_id
-        for node, agent_id in by_node.items():
-            agents[agent_id].settle(node, None)
-
     # ------------------------------------------------- settled-agent queries
-    # Driver-phase primitives.  Unlike run_walk these are deterministic, so
-    # they inherit the per-op parity contract: overrides must be observably
-    # exact.  The generic bodies below are the repro.core driver loops they
+    # Driver-phase primitives.  They are deterministic, so they inherit the
+    # per-op parity contract: overrides must be observably exact.  The generic bodies below are the repro.core driver loops they
     # replaced, verbatim -- fault filtering rides kernel.agents_at (the v2
     # Communicate query), and none of them count trace probes (the loops they
     # replaced never did; only settled_agent_at/settled_agents_at do).

@@ -8,8 +8,8 @@ is differentially tested against this one (see
 changes to the simulator itself -- they require a ``code_version`` bump for
 every registered algorithm.
 
-The batch-stepping tier -- ``run_walk`` plus the deterministic driver-phase
-primitives (``settled_present`` / ``home_settler_at`` / ``has_home_settler``
+The batch-stepping tier -- the deterministic driver-phase primitives
+(``settled_present`` / ``home_settler_at`` / ``has_home_settler``
 / ``run_probe_round`` / ``run_scatter`` / ``run_phase``) -- is inherited
 unchanged from :class:`~repro.sim.backends.base.KernelBackend`: the generic
 bodies there *are* this oracle's implementation (the original per-round

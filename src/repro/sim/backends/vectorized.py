@@ -8,7 +8,7 @@ State layout (``k`` agents, ``n`` nodes):
 * ``_occ_count``  -- int64[n], the per-node occupancy histogram.
 * ``_occ``        -- the same live ``List[Set[int]]`` the reference backend
   keeps.  Exact query parity (sorted-id communication queries, adversaries
-  that inspect ``engine._occupancy``) requires the id sets; the histogram
+  that inspect ``engine.kernel.occupancy``) requires the id sets; the histogram
   answers the pure counting queries without touching them.
 * CSR views      -- zero-copy int64 views of the graph's flat
   ``(offsets, neighbors, reverse_ports)`` arrays plus a degree vector,
@@ -20,10 +20,10 @@ backend: batched moves are *planned* with one fancy-indexing pass over the
 CSR tables (bounds check, destination and reverse-port lookup, first
 offending move reported with the graph's exact error message), then landed
 on the Agent objects in the same order the reference loop lands them.  The
-**batch-stepping tier** (:meth:`VectorizedBackend.run_walk`) never leaves
-numpy between rounds -- port draws, edge crossings, fault masks, and the
-settle rule are all array ops -- and syncs the Agent objects, occupancy sets,
-and metrics back once at the end.
+**batch-stepping tier** answers the settled-agent queries from incrementally
+maintained per-node indexes and walks a whole scatter path array-side
+(:meth:`VectorizedBackend.run_scatter`), syncing the Agent objects, occupancy
+sets, and metrics back once at the end.
 
 numpy is an optional dependency (the ``fast`` extra): importing this module
 is always safe, constructing the backend without numpy raises
@@ -234,119 +234,6 @@ class VectorizedBackend(KernelBackend):
 
     def occupancy_counts(self) -> Sequence[int]:
         return self._occ_count.tolist()
-
-    # ------------------------------------------------------- batch stepping
-    def run_walk(self, rounds: int, seed: int, settle: bool = False) -> int:
-        """Array-only random-walk rounds; syncs world state back at the end.
-
-        Same workload semantics as the generic implementation (uniform port
-        per unsettled unblocked agent, simultaneous landing, min-id settle
-        rule, early stop when everyone settled, crash/freeze masks and churn
-        honoured per round) -- but the per-round work is pure numpy, which is
-        where the backend's steps-per-second headroom comes from.
-        """
-        kernel = self.kernel
-        agents = kernel.agents
-        injector = kernel.fault_injector
-        rng = np.random.default_rng(seed)
-        k = len(self._ids)
-        n = kernel.graph.num_nodes
-        self._refresh_csr()
-        pos = self._pos.copy()
-        pin = np.full(k, -1, dtype=np.int64)  # -1: never moved in this block
-        moved = np.zeros(k, dtype=np.int64)
-        settled = np.asarray(
-            [agents[a].settled for a in self._ids.tolist()], dtype=bool
-        )
-        # node -> has a settled home agent (settled agents never move here).
-        has_settler = np.zeros(n, dtype=bool)
-        for agent in agents.values():
-            if agent.settled and agent.home is not None:
-                has_settler[agent.home] = True
-        steps = 0
-        for _ in range(rounds):
-            if settle and bool(settled.all()):
-                break
-            now = kernel.metrics.rounds
-            blocked = np.zeros(k, dtype=bool)
-            if injector is not None:
-                injector.begin_tick(now, kernel)
-                self._refresh_csr()  # churn may have rewired edges this tick
-                for agent_id in injector.blocked_cycle_agents(now):
-                    slot = self._slot.get(agent_id)
-                    if slot is not None:
-                        blocked[slot] = True
-            active = ~settled & ~blocked
-            count = int(active.sum())
-            if count:
-                src = pos[active]
-                deg = self._deg[src]
-                ports = (rng.random(count) * deg).astype(np.int64)  # 0-based
-                edge = self._offsets[src] + ports
-                pos[active] = self._nbr[edge]
-                pin[active] = self._rev[edge]
-                moved[active] += 1
-                steps += count
-            kernel.metrics.rounds += 1
-            if settle:
-                candidates = np.flatnonzero(~settled & ~blocked)
-                if candidates.size:
-                    nodes = pos[candidates]
-                    open_node = ~has_settler[nodes]
-                    candidates = candidates[open_node]
-                    nodes = nodes[open_node]
-                    if candidates.size:
-                        # Min-slot (== min-id: slots are id-sorted) per node.
-                        order = np.lexsort((candidates, nodes))
-                        candidates = candidates[order]
-                        nodes = nodes[order]
-                        first = np.ones(len(nodes), dtype=bool)
-                        first[1:] = nodes[1:] != nodes[:-1]
-                        winners = candidates[first]
-                        settled[winners] = True
-                        has_settler[nodes[first]] = True
-            if kernel.trace is not None:
-                # The Agent objects only sync back after the block, so the
-                # recorder diffs against the live arrays instead; the RNG
-                # stream is untouched, so tracing cannot change the walk.
-                ids = self._ids.tolist()
-                kernel.trace.record_tick(
-                    positions={
-                        int(a): int(p) for a, p in zip(ids, pos.tolist())
-                    },
-                    settled={
-                        int(a) for a, s in zip(ids, settled.tolist()) if s
-                    },
-                )
-        self._sync_back(pos, pin, moved, settled)
-        return steps
-
-    def _sync_back(self, pos, pin, moved, settled) -> None:
-        """Land the block's end state on the Agents, occupancy, and metrics."""
-        kernel = self.kernel
-        agents = kernel.agents
-        occupancy = self._occ
-        moves_per_agent = kernel.moves_per_agent
-        max_moves = kernel.metrics.max_moves_per_agent
-        for slot, agent_id in enumerate(self._ids.tolist()):
-            agent = agents[agent_id]
-            count = int(moved[slot])
-            if count:
-                occupancy[agent.position].discard(agent_id)
-                agent.arrive(int(pos[slot]), int(pin[slot]))
-                occupancy[agent.position].add(agent_id)
-                total = moves_per_agent.get(agent_id, 0) + count
-                moves_per_agent[agent_id] = total
-                if total > max_moves:
-                    max_moves = total
-            if settled[slot] and not agent.settled:
-                agent.settle(int(pos[slot]), None)
-        kernel.metrics.total_moves += int(moved.sum())
-        kernel.metrics.max_moves_per_agent = max_moves
-        self._pos[:] = pos
-        self._occ_count = np.bincount(
-            pos, minlength=kernel.graph.num_nodes
-        ).astype(np.int64)
 
     # ------------------------------------------------- settled-agent queries
     # Deterministic primitives: index-answered only when no fault injector is

@@ -7,7 +7,10 @@ lockstep rounds vs. adversary-chosen single activations).  Everything that
 is a property of the **world** rather than of the **schedule** therefore
 lives here, in one :class:`ExecutionKernel` that both
 :class:`~repro.sim.sync_engine.SyncEngine` and
-:class:`~repro.sim.async_engine.AsyncEngine` are thin facades over:
+:class:`~repro.sim.async_engine.AsyncEngine` schedule.  The engines forward
+only ``graph``, ``agents``, ``metrics`` and ``finalize_metrics``; drivers,
+adversaries and tests make every world query through ``engine.kernel``.  The
+kernel owns:
 
 * the agent table and the pluggable **state backend**
   (:mod:`repro.sim.backends`) holding the dense per-node occupancy and
@@ -21,14 +24,13 @@ lives here, in one :class:`ExecutionKernel` that both
   executing activation's tick while program code runs inside one
   (``cycle_time``), else the engine's native counter (rounds or
   activations),
-* the v2 fault-visibility observation queries (``agents_at``, ``occupied``,
-  ``settled_agent_at``, ``settled_agents_at``, ``fault_view``,
-  ``positions``, ``finalize_metrics``): a crashed/frozen agent's body stays
-  physically present but it is invisible to co-located interaction -- it can
-  neither settle, be settled or instructed, nor answer probes while blocked.
+* the v2 fault-visibility observation queries: a crashed/frozen agent's
+  body stays physically present but it is invisible to co-located
+  interaction -- it can neither settle, be settled or instructed, nor answer
+  probes while blocked.
 
 Scheduling policy -- what a "step" is, how time advances, which agent acts
-next -- stays in the facades and in the pluggable schedulers of
+next -- stays in the engines and in the pluggable schedulers of
 :mod:`repro.sim.adversary`.  That split is what opens the synchrony
 spectrum: a new scheduling discipline (semi-synchronous, bounded-delay)
 composes with the kernel instead of re-implementing the world logic.
@@ -133,36 +135,6 @@ class ExecutionKernel:
         self.trace: Optional["TraceRecorder"] = None
         if config is not None and config.trace:
             self.trace = config.make_recorder(self)
-
-    @classmethod
-    def for_engine(
-        cls,
-        setting: str,
-        graph: PortLabeledGraph,
-        agents: Iterable[Agent],
-        *,
-        fault_injector: Optional[FaultInjector] = None,
-        invariant_checker: Optional[InvariantChecker] = None,
-        backend: Union[None, str, KernelBackend] = None,
-    ) -> "ExecutionKernel":
-        """The one construction path both engine facades delegate to.
-
-        ``setting`` is ``"sync"`` or ``"async"`` and picks the native clock;
-        everything else is the constructor, so fault/invariant/backend wiring
-        cannot drift between the facades (see also
-        :func:`repro.runner.execute.build_engine`, which layers scenario
-        wiring on top of this).
-        """
-        if setting not in ("sync", "async"):
-            raise ValueError(f"setting must be 'sync' or 'async', got {setting!r}")
-        return cls(
-            graph,
-            agents,
-            time_attr="activations" if setting == "async" else "rounds",
-            fault_injector=fault_injector,
-            invariant_checker=invariant_checker,
-            backend=backend,
-        )
 
     @property
     def occupancy(self) -> List[Set[int]]:

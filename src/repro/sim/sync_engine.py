@@ -8,24 +8,24 @@ round (``agent_id -> port``), executes them in parallel, and advances the round
 counter.  Time complexity of a SYNC algorithm is exactly the number of
 ``step`` calls it makes -- it is never self-reported.
 
-The engine is a thin facade over the shared
-:class:`~repro.sim.kernel.ExecutionKernel`: the kernel owns the world (agent
-table, occupancy, move mechanics, fault wiring, observation queries) while
-this class contributes only the lockstep scheduling discipline -- the round
-counter, the per-round fault gate, and the simultaneous move batch.  The
-co-location queries implementing the local communication model (an agent may
-inspect, and by convention of the algorithms write to, the memory of agents
-at its own node only) are the kernel's, re-exported unchanged.
+The engine schedules the shared :class:`~repro.sim.kernel.ExecutionKernel`:
+the kernel owns the world (agent table, occupancy, move mechanics, fault
+wiring, observation queries) while this class contributes only the lockstep
+scheduling discipline -- the round counter, the per-round fault gate, and the
+simultaneous move batch.  The co-location queries implementing the local
+communication model (an agent may inspect, and by convention of the
+algorithms write to, the memory of agents at its own node only) are asked of
+``engine.kernel``; the engine does not forward them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.agents.agent import Agent
 from repro.graph.port_graph import PortLabeledGraph
 from repro.sim.backends import KernelBackend
-from repro.sim.faults import AgentFaultView, FaultInjector
+from repro.sim.faults import FaultInjector
 from repro.sim.invariants import InvariantChecker
 from repro.sim.kernel import ExecutionKernel
 from repro.sim.metrics import RunMetrics
@@ -56,10 +56,8 @@ class SyncEngine:
         name or instance; ``None`` resolves from the ambient context, falling
         back to the ``"reference"`` default.
 
-    Construction is fully delegated to
-    :meth:`ExecutionKernel.for_engine` (shared verbatim with
-    :class:`~repro.sim.async_engine.AsyncEngine`); scenario-level wiring
-    lives one layer up in :func:`repro.runner.execute.build_engine`.
+    Scenario-level wiring lives one layer up in
+    :func:`repro.runner.execute.build_engine`.
     """
 
     def __init__(
@@ -71,10 +69,10 @@ class SyncEngine:
         invariant_checker: Optional[InvariantChecker] = None,
         backend: Union[None, str, KernelBackend] = None,
     ) -> None:
-        self._kernel = ExecutionKernel.for_engine(
-            "sync",
+        self._kernel = ExecutionKernel(
             graph,
             agents,
+            time_attr="rounds",
             fault_injector=fault_injector,
             invariant_checker=invariant_checker,
             backend=backend,
@@ -99,28 +97,7 @@ class SyncEngine:
     def metrics(self) -> RunMetrics:
         return self._kernel.metrics
 
-    @property
-    def fault_injector(self) -> Optional[FaultInjector]:
-        return self._kernel.fault_injector
-
-    @property
-    def invariant_checker(self) -> Optional[InvariantChecker]:
-        return self._kernel.invariant_checker
-
-    @property
-    def _occupancy(self) -> List[Set[int]]:
-        return self._kernel.occupancy
-
-    @property
-    def _moves_per_agent(self) -> Dict[int, int]:
-        return self._kernel.moves_per_agent
-
     # ----------------------------------------------------------------- round
-    @property
-    def round(self) -> int:
-        """Number of completed rounds."""
-        return self._kernel.metrics.rounds
-
     def step(self, moves: Mapping[int, Optional[int]] | None = None) -> None:
         """Execute one synchronous round.
 
@@ -196,38 +173,6 @@ class SyncEngine:
         return self._kernel.backend.run_scatter(
             self, walker_ids, start, ports, counter=counter
         )
-
-    # ------------------------------------------------------------ observation
-    # The kernel's observation queries are the single documented query
-    # surface (the v2 fault-visibility contract lives there, shared verbatim
-    # with the ASYNC engine and with every backend).  The methods below are
-    # thin aliases kept for engine-level ergonomics and back-compat; new code
-    # -- like the migrated drivers in ``repro.core`` -- should call
-    # ``engine.kernel.<query>`` directly.
-
-    def fault_view(self, agent_id: int) -> AgentFaultView:
-        """The agent's :class:`AgentFaultView` for the upcoming round."""
-        return self._kernel.fault_view(agent_id)
-
-    def agents_at(self, node: int) -> List[Agent]:
-        """Agents at ``node`` that participate in communication this round."""
-        return self._kernel.agents_at(node)
-
-    def occupied(self, node: int) -> bool:
-        """True when at least one agent body is at ``node`` (physical query)."""
-        return self._kernel.occupied(node)
-
-    def settled_agent_at(self, node: int) -> Optional[Agent]:
-        """The settled agent at ``node`` that answers probes this round."""
-        return self._kernel.settled_agent_at(node)
-
-    def settled_agents_at(self, node: int) -> List[Agent]:
-        """All settled agents at ``node`` that answer probes this round."""
-        return self._kernel.settled_agents_at(node)
-
-    def positions(self) -> Dict[int, int]:
-        """Snapshot of ``agent_id -> node``."""
-        return self._kernel.positions()
 
     def finalize_metrics(self) -> RunMetrics:
         """Fold per-agent memory peaks (and any fault/invariant counters) into

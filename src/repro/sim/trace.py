@@ -128,20 +128,13 @@ class TraceRecorder:
         self._final_diffed = False
 
     # ------------------------------------------------------------- recording
-    def record_tick(
-        self,
-        positions: Optional[Mapping[int, int]] = None,
-        settled: Optional[Set[int]] = None,
-    ) -> None:
+    def record_tick(self) -> None:
         """Record the delta of one completed tick (round or activation).
 
-        Called by the engines after their native counter advanced; batch
-        backends (``run_walk``) pass their array-derived ``positions`` /
-        ``settled`` views so mid-block rounds trace without a per-round
-        sync-back of the Agent objects.
+        Called by the engines after their native counter advanced.
         """
         start = time.perf_counter()
-        self._diff(self._now(), positions, settled)
+        self._diff(self._now())
         self.counters["ticks"] += 1
         self.timings["record_s"] += time.perf_counter() - start
 
@@ -165,18 +158,11 @@ class TraceRecorder:
         metrics = self.kernel.metrics
         return metrics.activations if self.granularity == "activations" else metrics.rounds
 
-    def _diff(
-        self,
-        t: int,
-        positions: Optional[Mapping[int, int]] = None,
-        settled: Optional[Set[int]] = None,
-    ) -> None:
+    def _diff(self, t: int) -> None:
         kernel = self.kernel
-        if positions is None:
-            positions = kernel.positions()
+        positions = kernel.positions()
         agents = kernel.agents
-        if settled is None:
-            settled = {a for a in self.agent_ids if agents[a].settled}
+        settled = {a for a in self.agent_ids if agents[a].settled}
         events = self.events
         counters = self.counters
         for aid in self.agent_ids:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.runner.execute import RunRecord, run_scenario
 from repro.runner.registry import algorithm_names
-from repro.runner.scenario import ScenarioSpec
+from repro.runner.scenario import ADVERSARIES, ScenarioSpec
 from repro.sim.backends import backend_available
 
 try:
@@ -236,3 +236,21 @@ def test_churn_heavy_run_is_backend_invariant():
     )
     for algorithm in ("rooted_sync", "rooted_async", "random_walk"):
         assert_backend_invariant(algorithm, spec)
+
+
+@pytest.mark.parametrize("adversary", ADVERSARIES)
+@pytest.mark.parametrize("algorithm", ("rooted_async", "general_async", "ks_opodis21"))
+def test_every_adversary_is_backend_invariant(algorithm, adversary):
+    """The adaptive adversaries read the world mid-run (``adaptive_collision``
+    the kernel's occupancy sets, ``lazy_settler`` the agents' settled flags),
+    so their activation streams -- and the records -- must not depend on the
+    backend either."""
+    spec = ScenarioSpec(
+        family="grid2d",
+        params={"rows": 3, "cols": 4},
+        k=7,
+        seed=9,
+        adversary=adversary,
+    )
+    record = assert_backend_invariant(algorithm, spec)
+    assert record.status == "ok"

@@ -5,7 +5,7 @@ the per-operation tier: every mutation, query answer, metrics counter, and
 error message must match the reference backend exactly (the differential
 suite in ``test_backend_differential.py`` extends this to whole algorithm
 records).  These tests pin the contract at the unit level -- lockstep rounds,
-error paths, churned port tables, and the batch-walk sync-back -- plus the
+error paths, churned port tables, and the batched driver phases -- plus the
 registry/spec/factory plumbing the axis travels through.
 """
 
@@ -187,10 +187,11 @@ def test_apply_batch_error_message_parity():
 
 @needs_vectorized
 def test_vectorized_occupancy_is_the_engines_live_alias():
-    """Adversaries hold ``engine._occupancy``; it must stay the live object."""
+    """Adversaries hold ``engine.kernel.occupancy``; it must stay the live
+    object."""
     graph, agents = make_world(n=8, k=4)
     engine = SyncEngine(graph, agents, backend="vectorized")
-    held = engine._occupancy
+    held = engine.kernel.occupancy
     assert held is engine.kernel.occupancy
     engine.step({1: 1})
     assert held is engine.kernel.occupancy
@@ -225,72 +226,11 @@ def test_parity_survives_edge_churn():
         assert snapshot(ref) == snapshot(vec)
 
 
-@needs_vectorized
-def test_batch_walk_sync_back_restores_full_consistency():
-    """After ``run_walk`` the Agent objects, occupancy, and metrics agree with
-    the arrays -- and further per-op stepping behaves as if the rounds had been
-    stepped one by one."""
-    graph, agents = make_world(n=16, k=8, seed=5)
-    engine = SyncEngine(graph, agents, backend="vectorized")
-    backend = engine.kernel.backend
-    steps = backend.run_walk(30, seed=11)
-    assert steps == 30 * 8  # nobody settled: every agent walks every round
-    assert engine.metrics.rounds == 30
-    assert engine.metrics.total_moves == steps
-    snap = snapshot(engine)
-    assert sum(snap["counts"]) == 8
-    for agent in agents:
-        assert agent.agent_id in engine.kernel.occupancy[agent.position]
-        assert snap["positions"][agent.agent_id] == agent.position
-    assert sum(snap["moves_per_agent"].values()) == steps
-    # the per-op tier continues seamlessly from the synced state
-    engine.step({1: 1})
-    assert engine.agents[1].position == graph.neighbor(snap["positions"][1], 1)
-
-
-@needs_vectorized
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_batch_walk_settle_disperses_and_stops_early(backend):
-    graph, agents = make_world(n=16, k=8, seed=5)
-    engine = SyncEngine(graph, agents, backend=backend)
-    engine.kernel.backend.run_walk(10_000, seed=1, settle=True)
-    assert all(a.settled for a in agents)
-    homes = sorted(a.home for a in agents)
-    assert len(set(homes)) == len(agents)  # distinct nodes: dispersed
-    assert engine.metrics.rounds < 10_000  # early exit on full settlement
-    for agent in agents:
-        assert agent.position == agent.home
-
-
-@needs_vectorized
-def test_batch_walk_respects_crash_and_freeze_masks():
-    """Blocked agents neither walk nor settle inside the batch tier."""
-    for backend in ("reference", "vectorized"):
-        graph, agents = make_world(n=16, k=6, seed=2)
-        engine = build_engine(
-            graph=graph,
-            agents=agents,
-            fault_schedule=FaultSchedule(crash_at={3: 0}, freeze_windows={5: (0, 4)}),
-            backend=backend,
-        )
-        engine.kernel.backend.run_walk(4, seed=9, settle=True)
-        assert engine.agents[3].position == 0  # crashed on the start node
-        assert not engine.agents[3].settled
-        assert engine.agents[5].position == 0  # still frozen through round 3
-        assert not engine.agents[5].settled
-        assert engine.kernel.moves_per_agent.get(3, 0) == 0
-        assert engine.kernel.moves_per_agent.get(5, 0) == 0
-        # after the thaw, agent 5 walks again
-        engine.kernel.backend.run_walk(3, seed=10)
-        assert engine.kernel.moves_per_agent.get(5, 0) > 0
-        assert engine.kernel.moves_per_agent.get(3, 0) == 0
-
-
 # ------------------------------------------------------- driver-phase primitives
 #
 # The DFS/probe driver phases ride four batched primitives (settled-presence
 # queries, run_probe_round, run_scatter via SyncEngine.step_path, run_phase
-# via idle_rounds).  Unlike run_walk these are *deterministic* -- they inherit
+# via idle_rounds).  They are *deterministic* -- they inherit
 # the per-operation tier's exact-parity contract, pinned here per primitive:
 # masks, mid-phase faults, churn mid-round, and error ordering.
 
@@ -503,7 +443,7 @@ def test_step_path_freeze_mask_leaves_frozen_walkers_behind():
     ends = [eng.step_path([1, 2, 3, 4, 5], 0, list(ports)) for eng in (ref, vec)]
     assert ends[0] == ends[1] == node
     assert snapshot(ref) == snapshot(vec)
-    assert ref.fault_injector.counts == vec.fault_injector.counts
+    assert ref.kernel.fault_injector.counts == vec.kernel.fault_injector.counts
     # the frozen and crashed walkers really missed hops; a healthy one didn't
     moved = ref.kernel.moves_per_agent
     assert moved[1] == len(ports)
@@ -537,7 +477,7 @@ def test_step_path_parity_under_churn_mid_phase():
     assert outcomes[0] == outcomes[1]
     assert snapshot(ref) == snapshot(vec)
     assert ref.graph.churn_count == vec.graph.churn_count > churn_before
-    assert ref.fault_injector.counts == vec.fault_injector.counts
+    assert ref.kernel.fault_injector.counts == vec.kernel.fault_injector.counts
 
 
 @needs_vectorized
@@ -578,7 +518,7 @@ def test_idle_rounds_parity_with_injector_ticks_the_fault_clock():
     for eng in (ref, vec):
         eng.idle_rounds(5)
     assert ref.metrics.rounds == vec.metrics.rounds == 5
-    assert ref.fault_injector.counts == vec.fault_injector.counts
+    assert ref.kernel.fault_injector.counts == vec.kernel.fault_injector.counts
     assert not ref.kernel.fault_view(1).blocked_for_cycle  # the freeze expired
 
 
@@ -602,7 +542,7 @@ def test_build_engine_scenario_mode_wires_spec_pieces():
     engine = build_engine(spec)
     assert engine.graph.num_nodes == 8
     assert sorted(engine.agents) == [1, 2, 3, 4]
-    assert engine.fault_injector is not None
+    assert engine.kernel.fault_injector is not None
     assert engine.kernel.invariant_checker is not None
     assert engine.kernel.backend.name == DEFAULT_BACKEND
 
@@ -636,11 +576,11 @@ def test_build_engine_explicit_mode_pins_schedule_and_observations():
         fault_schedule=FaultSchedule(crash_at={2: 1}),
         record_fault_observations=True,
     )
-    assert engine.fault_injector is not None
-    assert engine.fault_injector.record_observations
+    assert engine.kernel.fault_injector is not None
+    assert engine.kernel.fault_injector.record_observations
     engine.step({})
     engine.step({})
-    assert engine.fault_injector.counts["blocked"] >= 1
+    assert engine.kernel.fault_injector.counts["blocked"] >= 1
 
 
 # ------------------------------------------------- spec serialization & caching

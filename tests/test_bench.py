@@ -1,6 +1,6 @@
 """Unit tests for ``repro bench`` machinery (:mod:`repro.runner.bench`).
 
-Real measurements (the 20x acceptance lock) live in
+Real measurements (the 10x acceptance locks) live in
 ``benchmarks/test_backend_throughput.py``; here the budgets are shrunk to
 milliseconds so the report schema, the tier structure, the render, and the
 bench-guard gate logic are pinned without burning wall-clock.
@@ -55,8 +55,9 @@ def test_default_payload_carries_both_tiers_for_the_guard():
 
 
 def test_unknown_workload_is_rejected():
-    with pytest.raises(ValueError, match="unknown workload"):
-        bench.run_bench(["reference"], workloads=["warp"], quick=True)
+    for workload in ("warp", "random_walk", "dispersion"):
+        with pytest.raises(ValueError, match="unknown workload"):
+            bench.run_bench(["reference"], workloads=[workload], quick=True)
 
 
 def test_scale_tiers_replace_quick_and_ride_along_otherwise():
@@ -72,12 +73,12 @@ def test_scale_tiers_replace_quick_and_ride_along_otherwise():
 def test_short_horizon_marks_reference_rows_at_large_sizes(monkeypatch):
     """Above the cutoff, reference legs run unwarmed one-round chunks and say
     so in the row; non-reference legs keep the amortizing ladder."""
-    below = bench.run_bench(["reference"], workloads=["random_walk"], quick=True)
+    below = bench.run_bench(["reference"], workloads=["scatter"], quick=True)
     (quick_row,) = below["tiers"]["quick"]["results"]
     assert "short_horizon" not in quick_row  # default cutoff is far above 36
     monkeypatch.setattr(bench, "SHORT_HORIZON_NODES", 32)
     payload = bench.run_bench(
-        ["reference"], workloads=["random_walk"], quick=True, scale=[36]
+        ["reference"], workloads=["scatter"], quick=True, scale=[36]
     )
     (row,) = payload["tiers"]["scale-36"]["results"]
     assert row["short_horizon"] is True
@@ -117,7 +118,7 @@ def test_render_shows_every_tier_block():
     text = bench.render(payload)
     assert "kernel bench [full]" in text
     assert "kernel bench [quick]" in text
-    assert "random_walk" in text and "dispersion" in text
+    assert "scatter" in text and "probe" in text
 
 
 def test_write_and_load_report_round_trip(tmp_path):
@@ -145,7 +146,7 @@ def fake_payload(quick_ratio: float, tiers=("full", "quick")) -> dict:
         "nodes": 36,
         "agents": 36,
         "results": [],
-        "speedups": {"random_walk": {"vectorized": quick_ratio}},
+        "speedups": {"scatter": {"vectorized": quick_ratio}},
     }
     return {
         "format": bench.BENCH_FORMAT,
@@ -173,6 +174,25 @@ def test_check_flags_a_regression_below_the_band(tmp_path):
     problems = bench.check_report(fake_payload(29.0), baseline, tolerance=0.25)
     assert len(problems) == 2  # both tiers regressed
     assert "fell below 30.00x" in problems[0]
+
+
+@pytest.mark.skipif(not backend_available("vectorized"), reason="numpy not installed")
+def test_check_flags_a_planted_2x_vectorized_slowdown(tmp_path):
+    """The same-runner gate catches a real regression: halve every vectorized
+    steps/s of a measured report and check it against the original."""
+    measured = bench.run_bench(["reference", "vectorized"], quick=True)
+    baseline = write_baseline(tmp_path, measured)
+    assert bench.check_report(measured, baseline, tolerance=0.25) == []
+    slowed = copy.deepcopy(measured)
+    for tier in slowed["tiers"].values():
+        for row in tier["results"]:
+            if row["backend"] == "vectorized":
+                row["steps_per_second"] /= 2
+        tier["speedups"] = bench._speedups(tier["results"])
+    problems = bench.check_report(slowed, baseline, tolerance=0.25)
+    assert sorted(p.split(":")[0] for p in problems) == [
+        f"[quick] {workload}/vectorized" for workload in sorted(bench.WORKLOADS)
+    ]
 
 
 def test_check_compares_only_common_tiers(tmp_path):

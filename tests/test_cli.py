@@ -513,7 +513,7 @@ def test_bench_writes_report_and_guards_itself(tmp_path, capsys, monkeypatch):
     out = tmp_path / "BENCH_kernel.json"
     code = main([
         "bench", "--quick", "--backend", "reference",
-        "--workload", "random_walk", "--out", str(out),
+        "--workload", "scatter", "--out", str(out),
     ])
     assert code == 0
     stdout = capsys.readouterr().out
@@ -525,7 +525,7 @@ def test_bench_writes_report_and_guards_itself(tmp_path, capsys, monkeypatch):
     # a fresh run gated against its own report always passes
     code = main([
         "bench", "--quick", "--backend", "reference",
-        "--workload", "random_walk", "--out", str(tmp_path / "again.json"),
+        "--workload", "scatter", "--out", str(tmp_path / "again.json"),
         "--check", str(out), "--tolerance", "0.9",
     ])
     assert code == 0
@@ -542,13 +542,13 @@ def test_bench_check_flags_an_impossible_baseline(tmp_path, capsys, monkeypatch)
         "format": "repro-bench-v1", "quick": True, "seed": 0,
         "tiers": {"quick": {
             "nodes": 36, "agents": 36, "results": [],
-            "speedups": {"random_walk": {"vectorized": 1e9}},
+            "speedups": {"scatter": {"vectorized": 1e9}},
         }},
     }
     base_path = tmp_path / "impossible.json"
     base_path.write_text(json.dumps(baseline))
     code = main([
-        "bench", "--quick", "--workload", "random_walk",
+        "bench", "--quick", "--workload", "scatter",
         "--backend", "reference", "--backend", "vectorized",
         "--out", str(tmp_path / "fresh.json"), "--check", str(base_path),
     ])

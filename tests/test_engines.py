@@ -24,7 +24,7 @@ class TestSyncEngine:
         eng = SyncEngine(g, agents.values())
         eng.step({1: 1})
         eng.step({})
-        assert eng.round == 2
+        assert eng.metrics.rounds == 2
         assert eng.metrics.total_moves == 1
 
     def test_parallel_moves_are_simultaneous(self):
@@ -51,10 +51,10 @@ class TestSyncEngine:
         g = generators.line(4)
         agents = make_agents(3)
         eng = SyncEngine(g, agents.values())
-        assert [a.agent_id for a in eng.agents_at(0)] == [1, 2, 3]
+        assert [a.agent_id for a in eng.kernel.agents_at(0)] == [1, 2, 3]
         agents[2].settle(0, None)
-        assert eng.settled_agent_at(0).agent_id == 2
-        assert eng.settled_agent_at(1) is None
+        assert eng.kernel.settled_agent_at(0).agent_id == 2
+        assert eng.kernel.settled_agent_at(1) is None
 
     def test_invalid_port_raises(self):
         g = generators.line(3)
@@ -163,80 +163,56 @@ class TestAsyncEngine:
         with pytest.raises(RuntimeError):
             eng.run_until(lambda: False)
 
-    def test_run_until_honors_check_every(self):
-        """The predicate is evaluated once per ``check_every`` activations.
-
-        Regression for the pre-kernel engine, which accepted the parameter
-        and silently ignored it (checking after every single activation).
-        """
-        g = generators.line(4)
-        agents = make_agents(3)
-        eng = AsyncEngine(g, agents.values(), adversary=RoundRobinAdversary())
-        checks = {"n": 0}
-
-        def predicate():
-            checks["n"] += 1
-            return eng.metrics.activations >= 12
-
-        eng.run_until(predicate, check_every=6)
-        # One leading check + one after each 6-activation burst: 1 + 2.
-        assert checks["n"] == 3
-        assert eng.metrics.activations == 12
-        with pytest.raises(ValueError):
-            eng.run_until(lambda: True, check_every=0)
-
-    def test_run_until_check_every_may_overshoot_but_not_miss(self):
-        g = generators.line(4)
-        agents = make_agents(3)
-        eng = AsyncEngine(g, agents.values(), adversary=RoundRobinAdversary())
-        eng.run_until(lambda: eng.metrics.activations >= 1, check_every=5)
-        # The burst completes before the next check: 5 activations, not 1.
-        assert eng.metrics.activations == 5
-
 
 class TestKernelFacadeParity:
-    """Both engines expose the kernel's full observation surface identically."""
+    """Both engines schedule one kernel, which answers every world query."""
 
     def test_sync_engine_grew_settled_agents_at(self):
         g = generators.line(5)
         agents = make_agents(3, node=2)
         eng = SyncEngine(g, agents.values())
-        assert eng.settled_agents_at(2) == []
+        assert eng.kernel.settled_agents_at(2) == []
         agents[1].settle(2, None)
         agents[3].settle(2, None)
-        assert {a.agent_id for a in eng.settled_agents_at(2)} == {1, 3}
+        assert {a.agent_id for a in eng.kernel.settled_agents_at(2)} == {1, 3}
 
     def test_async_engine_grew_occupied(self):
         g = generators.line(5)
         agents = make_agents(2, node=3)
         eng = AsyncEngine(g, agents.values(), adversary=RoundRobinAdversary())
-        assert eng.occupied(3) and not eng.occupied(0)
+        assert eng.kernel.occupied(3) and not eng.kernel.occupied(0)
 
     def test_facades_share_one_kernel_state(self):
-        """Facade attributes are views of the kernel's single world state."""
+        """Engine attributes are views of the kernel's single world state."""
         g = generators.line(5)
         agents = make_agents(2)
         eng = SyncEngine(g, agents.values())
         assert eng.metrics is eng.kernel.metrics
         assert eng.agents is eng.kernel.agents
-        assert eng._occupancy is eng.kernel.occupancy
+        assert eng.graph is eng.kernel.graph
         eng.step({1: 1})
         assert eng.kernel.moves_per_agent == {1: 1}
         assert eng.kernel.now() == 1  # the SYNC fault clock is the round count
 
     def test_observation_surface_matches_across_engines(self):
-        surface = (
+        """Both engines hand out the same kernel surface and forward none of
+        its queries themselves."""
+        g = generators.line(5)
+        sync = SyncEngine(g, make_agents(2).values())
+        asyn = AsyncEngine(g, make_agents(2).values(), adversary=RoundRobinAdversary())
+        assert type(sync.kernel) is type(asyn.kernel)
+        for name in (
             "agents_at",
             "occupied",
             "settled_agent_at",
             "settled_agents_at",
             "fault_view",
             "positions",
-            "finalize_metrics",
-        )
-        for name in surface:
-            assert callable(getattr(SyncEngine, name))
-            assert callable(getattr(AsyncEngine, name))
+        ):
+            assert callable(getattr(sync.kernel, name))
+            assert not hasattr(SyncEngine, name) and not hasattr(AsyncEngine, name)
+        assert callable(SyncEngine.finalize_metrics)
+        assert callable(AsyncEngine.finalize_metrics)
 
 
 class TestAdversaries:

@@ -93,7 +93,7 @@ def _probe_snapshot(engine, n):
     """Who answers a settle-probe at each node right now (None = nobody)."""
     snapshot = []
     for node in range(n):
-        settler = engine.settled_agent_at(node)
+        settler = engine.kernel.settled_agent_at(node)
         snapshot.append(settler.agent_id if settler is not None else None)
     return tuple(snapshot)
 
@@ -107,7 +107,7 @@ def run_sync_walk(schedule):
         fault_schedule=FaultSchedule(**schedule),
         record_fault_observations=True,
     )
-    injector = engine.fault_injector
+    injector = engine.kernel.fault_injector
     probe_log = []
     for _round in range(ROUNDS):
         probe_log.append(_probe_snapshot(engine, N))
@@ -117,7 +117,7 @@ def run_sync_walk(schedule):
                 continue
             # The engine's Communicate query is the cycle gate: an agent it
             # hides executes nothing this round.
-            if agent not in engine.agents_at(agent.position):
+            if agent not in engine.kernel.agents_at(agent.position):
                 continue
             target = agent.agent_id - 1
             if agent.position == target:
@@ -148,7 +148,7 @@ def run_async_walk(schedule, adversary=None):
         fault_schedule=FaultSchedule(**_scaled(schedule, K)),
         record_fault_observations=True,
     )
-    injector = engine.fault_injector
+    injector = engine.kernel.fault_injector
 
     def walk_and_settle(agent):
         for port in right_ports(graph, agent.agent_id - 1):
@@ -283,8 +283,8 @@ def test_general_pair_agrees_on_crashed_straggler():
     # Node 11 never reports a settler to either engine's probe query.
     sync_engine = sync_driver.engine
     async_engine = async_driver.engine
-    assert sync_engine.settled_agent_at(11) is None
-    assert async_engine.settled_agent_at(11) is None
+    assert sync_engine.kernel.settled_agent_at(11) is None
+    assert async_engine.kernel.settled_agent_at(11) is None
 
 
 @pytest.mark.parametrize("window", [(0, 1), (0, 2), (1, 2), (0, 5), (3, 9)])
@@ -382,21 +382,21 @@ def test_sync_crashed_agent_neither_settles_nor_answers_probe():
 
     # Agent 2 sits, unsettled, on node 3.  The Communicate query must not
     # offer it -- so no driver can choose it as a settlement candidate.
-    assert [a.agent_id for a in engine.agents_at(3)] == [1, 3]
-    assert engine.fault_view(2).blocked_for_cycle
-    assert not engine.fault_view(2).answers_probes
-    assert engine.fault_view(1).healthy
+    assert [a.agent_id for a in engine.kernel.agents_at(3)] == [1, 3]
+    assert engine.kernel.fault_view(2).blocked_for_cycle
+    assert not engine.kernel.fault_view(2).answers_probes
+    assert engine.kernel.fault_view(1).healthy
 
     # Its body is still physically present (crash-stop leaves it on the node).
-    assert engine.positions()[2] == 3 and engine.occupied(3)
+    assert engine.kernel.positions()[2] == 3 and engine.kernel.occupied(3)
 
     # Settle agent 1 at node 3, then crash-freeze dynamics around probing:
     # agent 2 must never be the probe answer, settled agent 1 is.
     agents[0].settle(3, None)
-    assert engine.settled_agent_at(3) is agents[0]
+    assert engine.kernel.settled_agent_at(3) is agents[0]
     engine.step({})
-    assert [a.agent_id for a in engine.agents_at(3)] == [1, 3]
-    assert engine.settled_agent_at(3) is agents[0]
+    assert [a.agent_id for a in engine.kernel.agents_at(3)] == [1, 3]
+    assert engine.kernel.settled_agent_at(3) is agents[0]
     assert not agents[1].settled
 
 
@@ -406,12 +406,12 @@ def test_sync_frozen_settler_stops_answering_probes_until_thaw():
     engine = build_engine(
         graph=graph, agents=agents, fault_schedule=FaultSchedule(freeze_windows={1: (2, 5)})
     )
-    injector = engine.fault_injector
+    injector = engine.kernel.fault_injector
     agents[0].settle(2, None)
 
     answered = []
     for _round in range(7):
-        answered.append(engine.settled_agent_at(2) is not None)
+        answered.append(engine.kernel.settled_agent_at(2) is not None)
         engine.step({})
     # Rounds 0-1: answers; rounds 2-4: frozen (mute); rounds 5-6: thawed.
     assert answered == [True, True, False, False, False, True, True]
@@ -431,7 +431,7 @@ def test_async_crashed_agent_neither_settles_nor_answers_probe():
         adversary=adversary,
         fault_schedule=FaultSchedule(crash_at={2: 0}),
     )
-    injector = engine.fault_injector
+    injector = engine.kernel.fault_injector
 
     def settle_self(agent):
         agent.settle(agent.position, None)
@@ -443,6 +443,6 @@ def test_async_crashed_agent_neither_settles_nor_answers_probe():
     for _ in range(9):
         engine._activate(adversary.next_agent())
     assert not agents[1].settled
-    assert engine.settled_agent_at(3) is None
-    assert [a.agent_id for a in engine.agents_at(3)] == [1, 3]
+    assert engine.kernel.settled_agent_at(3) is None
+    assert [a.agent_id for a in engine.kernel.agents_at(3)] == [1, 3]
     assert injector.counts["blocked"] == 3  # one skipped cycle per pass

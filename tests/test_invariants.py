@@ -122,7 +122,7 @@ def test_engine_picks_up_ambient_instrumentation():
     with instrument(config):
         engine = SyncEngine(graph, agents)
     assert current() is None  # context restored
-    assert engine.invariant_checker is config.checkers[0]
+    assert engine.kernel.invariant_checker is config.checkers[0]
     engine.step({1: 1})
     metrics = engine.finalize_metrics()
     assert metrics.extra["invariant_violations"] == 0.0
