@@ -9,8 +9,8 @@ Two locks, matching the observability PR's acceptance criteria:
   must keep the committed ``benchmarks/BENCH_kernel.json`` shape and the
   same-run speedup floor.  The ratio comparison against a baseline runs in
   CI's bench-guard, against the base commit on the same runner.
-* **On is bounded** -- enabled tracing diffs the full agent state every tick,
-  so it is *not* free; the committed trajectory data in
+* **On is bounded** -- enabled tracing diffs every agent the kernel saw move
+  or (un)settle, every tick, so it is *not* free; the committed trajectory data in
   ``benchmarks/BENCH_trace.json`` (same ``repro-bench-v1`` schema as the
   kernel baseline) records the measured overhead ratios, and this module
   re-measures them with a generous portable ceiling.

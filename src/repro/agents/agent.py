@@ -77,8 +77,9 @@ class Agent:
         #: invariant checker uses this to tell legitimate settled-count drops
         #: from state corruption.
         self.unsettle_count = 0
-        #: Settled-index hook of the bound kernel backend (None when the
-        #: backend keeps no index); set by the backend on bind, never by
+        #: The execution kernel this agent runs in (None before one is
+        #: built), told of every settle/unsettle to keep its settled tallies
+        #: and the backend's index current; set by the kernel, never by
         #: algorithm code.  Agents stay observable-state-identical either way.
         self._observer = None
         self.memory = AgentMemory(memory_model)

@@ -63,12 +63,14 @@ class KSAsyncDispersion:
             graph, self.agents.values(), adversary=adversary, max_activations=max_activations
         )
         self.metrics = self.engine.metrics
+        self.unsettled = self.engine.kernel.settled_tally(self.agents)
         self.dfs_parent: List[Optional[int]] = [None] * graph.num_nodes
 
     # ------------------------------------------------------------------- run
     def run(self) -> DispersionResult:
         self.engine.assign(self.leader.agent_id, self._leader_program())
-        self.engine.run_until(lambda: all(a.settled for a in self.agents.values()))
+        unsettled = self.unsettled
+        self.engine.run_until(lambda: not unsettled.remaining)
         metrics = self.engine.finalize_metrics()
         return DispersionResult(
             dispersed=is_dispersed(self.agents.values()),
@@ -129,7 +131,7 @@ class KSAsyncDispersion:
         self._settle_smallest_at(self.root, None)
         yield Stay()
 
-        while not all(a.settled for a in self.agents.values()):
+        while self.unsettled.remaining:
             w = self.leader.position
             settler = self._settler_at(w)
             if settler is None:

@@ -59,6 +59,7 @@ class NaiveSyncDFS:
             max_rounds = 8 * (graph.num_edges + graph.num_nodes) + 40 * k + 1000
         self.engine = SyncEngine(graph, self.agents.values(), max_rounds=max_rounds)
         self.metrics = self.engine.metrics
+        self.unsettled = self.engine.kernel.settled_tally(self.agents)
         self.visited: Set[int] = set()
         self.dfs_parent: List[Optional[int]] = [None] * graph.num_nodes
 
@@ -66,7 +67,7 @@ class NaiveSyncDFS:
     def run(self) -> DispersionResult:
         self._settle_smallest_at(self.root, None)
         self.visited.add(self.root)
-        while not all(a.settled for a in self.agents.values()):
+        while self.unsettled.remaining:
             w = self.leader.position
             port = self._next_unvisited_port(w)
             if port is not None:

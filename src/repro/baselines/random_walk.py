@@ -46,6 +46,7 @@ def random_walk_dispersion(
     if max_rounds is None:
         max_rounds = 50 * graph.num_nodes + 500
     engine = SyncEngine(graph, agents.values(), max_rounds=max_rounds + 10)
+    unsettled = engine.kernel.settled_tally(agents)
 
     def settle_pass() -> None:
         by_node: Dict[int, list] = {}
@@ -60,7 +61,7 @@ def random_walk_dispersion(
 
     settle_pass()
     rounds = 0
-    while rounds < max_rounds and not all(a.settled for a in agents.values()):
+    while rounds < max_rounds and unsettled.remaining:
         moves = {}
         for agent in agents.values():
             if not agent.settled:

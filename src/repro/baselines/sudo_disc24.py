@@ -59,6 +59,7 @@ class SudoSyncDispersion:
             max_rounds = 60 * (k + 2) * (int(math.log2(k + 2)) + 2) + 1000
         self.engine = SyncEngine(graph, self.agents.values(), max_rounds=max_rounds)
         self.metrics = self.engine.metrics
+        self.unsettled = self.engine.kernel.settled_tally(self.agents)
         self.visited: Set[int] = set()
         self.dfs_parent: List[Optional[int]] = [None] * graph.num_nodes
 
@@ -66,7 +67,7 @@ class SudoSyncDispersion:
     def run(self) -> DispersionResult:
         self._settle_smallest_at(self.root, None)
         self.visited.add(self.root)
-        while not all(a.settled for a in self.agents.values()):
+        while self.unsettled.remaining:
             w = self.leader.position
             port = self._doubling_probe(w)
             if port is not None:

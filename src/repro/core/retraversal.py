@@ -66,7 +66,7 @@ def retraverse_and_settle(ctx) -> None:
             )
             if not record.occupied:
                 ctx.settle_next_agent_at(current, record.parent_port)
-                if ctx.all_settled():
+                if not ctx.unsettled.remaining:
                     break
 
         if carried_queue is not None:

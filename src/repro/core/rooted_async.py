@@ -103,6 +103,8 @@ class RootedAsyncDispersion:
         self.leader = max(self.agents.values(), key=lambda a: a.agent_id)
         self.leader.role = AgentRole.LEADER
         self.metrics = self.engine.metrics
+        #: This driver's still-unsettled agents (O(1) termination check).
+        self.unsettled = self.engine.kernel.settled_tally(self.agents)
         #: Cap on ports probed per Async_Probe call (k in the rooted case).
         self.probe_cap = probe_cap if probe_cap is not None else k
         self.visited: Set[int] = set()
@@ -117,7 +119,8 @@ class RootedAsyncDispersion:
     def run(self) -> DispersionResult:
         """Execute the algorithm under the configured adversary."""
         self.engine.assign(self.leader.agent_id, self._leader_program())
-        self.engine.run_until(lambda: all(a.settled for a in self.agents.values()))
+        unsettled = self.unsettled
+        self.engine.run_until(lambda: not unsettled.remaining)
         metrics = self.engine.finalize_metrics()
         return DispersionResult(
             dispersed=is_dispersed(self.agents.values()),
@@ -144,9 +147,8 @@ class RootedAsyncDispersion:
         is blocked by foreign trees; returns the still-unsettled group members.
         """
         self.engine.assign(self.leader.agent_id, self._leader_program(settle_root=False))
-        self.engine.run_until(
-            lambda: self.finished or all(a.settled for a in self.agents.values())
-        )
+        unsettled = self.unsettled
+        self.engine.run_until(lambda: self.finished or not unsettled.remaining)
         return [a for a in self.agents.values() if not a.settled]
 
     # --------------------------------------------------------------- helpers

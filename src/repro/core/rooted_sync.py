@@ -130,6 +130,8 @@ class RootedSyncDispersion:
         self.leader = max(self.agents.values(), key=lambda a: a.agent_id)
         self.leader.role = AgentRole.LEADER
         self.metrics = self.engine.metrics
+        #: This driver's still-unsettled agents (O(1) termination check).
+        self.unsettled = self.engine.kernel.settled_tally(self.agents)
         #: Upper bound on the number of ports probed per Sync_Probe call; the
         #: rooted case uses k (at most k-1 neighbors can ever be non-fresh).
         self.probe_cap = probe_cap if probe_cap is not None else k
@@ -478,10 +480,6 @@ class RootedSyncDispersion:
         self.ledger.transfer(node, agent)
         self.metrics.bump("settled_during_retraversal")
         return agent
-
-    def all_settled(self) -> bool:
-        """True when every agent has settled."""
-        return all(a.settled for a in self.agents.values())
 
     # -------------------------------------------------------------- movement
     def tick(self, moves: Dict[int, int]) -> None:

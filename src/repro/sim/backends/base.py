@@ -70,10 +70,6 @@ class KernelBackend(ABC):
     def bind(self, kernel: "ExecutionKernel") -> None:
         """Attach to ``kernel`` and build state from its agent table."""
         self.kernel = kernel
-        # Detach any settled-index observer a previously bound backend left on
-        # the agents; backends that keep an index re-attach in rebuild().
-        for agent in kernel.agents.values():
-            agent._observer = None
         self.rebuild()
 
     # ------------------------------------------------------------------ state
@@ -98,6 +94,15 @@ class KernelBackend(ABC):
     @abstractmethod
     def apply_batch(self, moves: Mapping[int, Optional[int]]) -> None:
         """Apply one round's move batch simultaneously (the SYNC primitive)."""
+
+    def notify_settle(self, agent: "Agent") -> None:
+        """``agent`` just settled (position == home).  The kernel observes
+        every agent and forwards here; backends with a settled index update
+        it, the default keeps none."""
+
+    def notify_unsettle(self, agent: "Agent") -> None:
+        """``agent`` is about to unsettle, its state still intact (forwarded
+        by the kernel like :meth:`notify_settle`)."""
 
     # ------------------------------------------------------------ observation
     @abstractmethod

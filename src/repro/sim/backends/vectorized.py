@@ -84,13 +84,13 @@ class VectorizedBackend(KernelBackend):
         # and idsum together decide "is a settled agent other than X here"
         # exactly: ids are unique, so count>=2 always has another, and the
         # count==1 body is agent idsum), plus home-node -> settled ids for the
-        # home-settler queries.  Kept current by the Agent settle/unsettle
-        # observer hooks and by the settled-mover updates in the move paths.
+        # home-settler queries.  Kept current by notify_settle/notify_unsettle
+        # (the kernel observes every agent's settle/unsettle and forwards
+        # them here) and by the settled-mover updates in the move paths.
         self._settled_count = np.zeros(n, dtype=np.int64)
         self._settled_idsum = np.zeros(n, dtype=np.int64)
         self._home_ids: Dict[int, Set[int]] = {}
         for agent in kernel.agents.values():
-            agent._observer = self
             if agent.settled:
                 self._settled_count[agent.position] += 1
                 self._settled_idsum[agent.position] += agent.agent_id
@@ -100,14 +100,14 @@ class VectorizedBackend(KernelBackend):
 
     # ------------------------------------------------- settled-index upkeep
     def notify_settle(self, agent: Agent) -> None:
-        """Agent observer hook: ``agent`` just settled (position == home)."""
+        """``agent`` just settled (position == home), forwarded by the kernel."""
         node = agent.position
         self._settled_count[node] += 1
         self._settled_idsum[node] += agent.agent_id
         self._home_ids.setdefault(agent.home, set()).add(agent.agent_id)
 
     def notify_unsettle(self, agent: Agent) -> None:
-        """Agent observer hook: ``agent`` is about to unsettle (state intact)."""
+        """``agent`` is about to unsettle (state intact), forwarded by the kernel."""
         node = agent.position
         self._settled_count[node] -= 1
         self._settled_idsum[node] -= agent.agent_id

@@ -12,10 +12,13 @@ only ``graph``, ``agents``, ``metrics`` and ``finalize_metrics``; drivers,
 adversaries and tests make every world query through ``engine.kernel``.  The
 kernel owns:
 
-* the agent table and the pluggable **state backend**
-  (:mod:`repro.sim.backends`) holding the dense per-node occupancy and
-  applying moves -- the per-agent reference loop or the numpy
-  struct-of-arrays layout, selected per scenario,
+* the agent table; the kernel is every agent's settle/unsettle observer,
+  keeping the O(1) settled tallies drivers end their loops on
+  (:meth:`ExecutionKernel.settled_tally`) and forwarding each event to the
+  backend (the vectorized one keeps a settled index),
+* the pluggable **state backend** (:mod:`repro.sim.backends`) holding the
+  dense per-node occupancy and applying moves -- the per-agent reference
+  loop or the numpy struct-of-arrays layout, selected per scenario,
 * move application (single activation moves and simultaneous SYNC batches)
   with the per-agent move accounting behind ``max_moves_per_agent``,
 * resolution of the fault injector / invariant checker / backend from
@@ -61,7 +64,21 @@ from repro.sim.metrics import RunMetrics
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import TraceRecorder
 
-__all__ = ["ExecutionKernel"]
+__all__ = ["ExecutionKernel", "SettledTally"]
+
+
+class SettledTally:
+    """How many agents of a fixed set are still unsettled.
+
+    Built by :meth:`ExecutionKernel.settled_tally` and kept current by the
+    kernel's settle/unsettle observer hooks, so a driver's "has my whole set
+    settled?" check is the O(1) read ``not tally.remaining``.
+    """
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, remaining: int) -> None:
+        self.remaining = remaining
 
 
 class ExecutionKernel:
@@ -129,6 +146,11 @@ class ExecutionKernel:
             backend = config.backend
         self.backend = resolve_backend(backend)
         self.backend.bind(self)
+        #: agent id -> the tallies counting it (one per driver whose agent
+        #: set holds it: the whole population, or one group of it).
+        self._tallies: Dict[int, List[SettledTally]] = {}
+        for agent in self.agents.values():
+            agent._observer = self
         # The recorder snapshots initial positions through the backend, so it
         # must resolve after the bind.  ``None`` is the tracing-off fast path:
         # every hook below is a single attribute check.
@@ -140,6 +162,35 @@ class ExecutionKernel:
     def occupancy(self) -> List[Set[int]]:
         """The backend's live per-node id sets (stable object across calls)."""
         return self.backend.occupancy
+
+    # ---------------------------------------------------------- settled tally
+    def settled_tally(self, ids: Iterable[int]) -> SettledTally:
+        """A live count of the still-unsettled agents among ``ids``.
+
+        Counted once here (so agents settled before this call are handled);
+        from then on every settle and unsettle updates it in O(1).
+        """
+        ids = list(ids)
+        tally = SettledTally(sum(not self.agents[i].settled for i in ids))
+        for agent_id in ids:
+            self._tallies.setdefault(agent_id, []).append(tally)
+        return tally
+
+    def notify_settle(self, agent: Agent) -> None:
+        """Agent observer hook: ``agent`` just settled."""
+        for tally in self._tallies.get(agent.agent_id, ()):
+            tally.remaining -= 1
+        self.backend.notify_settle(agent)
+        if self.trace is not None:
+            self.trace.touch(agent.agent_id)
+
+    def notify_unsettle(self, agent: Agent) -> None:
+        """Agent observer hook: ``agent`` is about to unsettle (state intact)."""
+        for tally in self._tallies.get(agent.agent_id, ()):
+            tally.remaining += 1
+        self.backend.notify_unsettle(agent)
+        if self.trace is not None:
+            self.trace.touch(agent.agent_id)
 
     # -------------------------------------------------------------- the clock
     def now(self) -> int:
@@ -153,6 +204,8 @@ class ExecutionKernel:
     def apply_move(self, agent: Agent, port: int) -> None:
         """Cross one edge in a single-agent activation (the ASYNC primitive)."""
         self.backend.apply_move(agent, port)
+        if self.trace is not None:
+            self.trace.touch(agent.agent_id)
 
     def apply_batch(self, moves: Mapping[int, Optional[int]]) -> None:
         """Apply one round's move batch simultaneously (the SYNC primitive).
@@ -163,6 +216,9 @@ class ExecutionKernel:
         SYNC model (no agent observes another on an edge).
         """
         self.backend.apply_batch(moves)
+        if self.trace is not None:
+            for agent_id in moves:
+                self.trace.touch(agent_id)
 
     # ------------------------------------------------------------ observation
     def fault_view(self, agent_id: int) -> AgentFaultView:

@@ -10,12 +10,14 @@ answered) and wall-clock phase timers.
 
 Recording is *diff-based*: the engines call :meth:`TraceRecorder.record_tick`
 (SYNC, once per round) or :meth:`TraceRecorder.record_activation` (ASYNC, once
-per activation) and the recorder scans the kernel's world state against its
-last snapshot, emitting only what changed.  Settles happen in driver code
-(``agent.settle(...)``), not through a kernel primitive, so diffing is the one
-hook point that sees *every* state transition regardless of which layer caused
-it; a final catch-up diff at serialization time picks up driver-side settle
-passes that run after the last engine step.
+per activation) and the recorder compares the agents the kernel marked as
+touched since the last tick (:meth:`TraceRecorder.touch`: every mover, and
+every agent whose settle/unsettle the kernel observed) against its last
+snapshot, emitting only what changed -- O(touched) per tick, not O(k).
+Settles happen in driver code (``agent.settle(...)``), not through a kernel
+primitive, which is why the kernel's settle observer marks them; a final
+catch-up diff at serialization time picks up driver-side settle passes that
+run after the last engine step.
 
 Determinism contract: the serialized payload is a pure function of the run's
 observable state sequence.  It deliberately contains no wall-clock data (the
@@ -105,6 +107,8 @@ class TraceRecorder:
             a for a in self.agent_ids if kernel.agents[a].settled
         }
         self._blocked: Set[int] = set()
+        #: Agents moved or (un)settled since the last diff (see touch()).
+        self._touched: Set[int] = set()
         self._churn_seen = graph.churn_count
         self.init_positions: List[int] = [self._positions[a] for a in self.agent_ids]
         self.init_settled: List[int] = sorted(self._settled)
@@ -148,6 +152,11 @@ class TraceRecorder:
         self.schedule.append(agent_id)
         self.record_tick()
 
+    def touch(self, agent_id: int) -> None:
+        """Kernel hook: ``agent_id`` may have moved or (un)settled; the next
+        diff compares it with the snapshot."""
+        self._touched.add(agent_id)
+
     def count_probe(self, answered: bool) -> None:
         """Kernel hook: one settled-agent probe query (answered or not)."""
         self.counters["probe_queries"] += 1
@@ -160,23 +169,23 @@ class TraceRecorder:
 
     def _diff(self, t: int) -> None:
         kernel = self.kernel
-        positions = kernel.positions()
         agents = kernel.agents
-        settled = {a for a in self.agent_ids if agents[a].settled}
         events = self.events
         counters = self.counters
-        for aid in self.agent_ids:
-            new = positions[aid]
+        touched = sorted(self._touched)
+        self._touched.clear()
+        for aid in touched:
+            agent = agents[aid]
+            new = agent.position
             old = self._positions[aid]
             if new != old:
                 events.append([t, "move", aid, old, new])
                 self._positions[aid] = new
                 counters["moves"] += 1
             was = aid in self._settled
-            now_settled = aid in settled
+            now_settled = agent.settled
             if now_settled and not was:
-                agent = agents[aid]
-                home = agent.home if agent.settled and agent.home is not None else new
+                home = agent.home if agent.home is not None else new
                 events.append([t, "settle", aid, home])
                 self._settled.add(aid)
                 counters["settles"] += 1
