@@ -111,6 +111,12 @@ class AgentMemory:
 
     def write(self, name: str, value: object, kind: Optional[FieldKind] = None) -> None:
         """Write a persistent field (charging its bits while it is set)."""
+        values = self._values
+        if value is not None and name in values and (kind is None or kind is self._kinds[name]):
+            # Overwriting a set field with its declared kind: its bits are
+            # already charged, so neither the total nor the peak can move.
+            values[name] = value
+            return
         if kind is not None:
             self.declare(name, kind)
         if name not in self._kinds:

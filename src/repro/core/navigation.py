@@ -28,7 +28,7 @@ stores more than a constant number of port fields per node it owns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.agents.agent import Agent
 from repro.agents.memory import FieldKind
@@ -83,6 +83,18 @@ _RECORD_FIELDS = (
 
 _MAX_LIST_LEN = {"child_group": 3, "sibling_group": 2, "rt_queue": 4}
 
+# field name -> (FieldKind, ((memory-name suffix, list index or None), ...)),
+# in ``_RECORD_FIELDS`` order; a list field has one slot per possible entry.
+_FIELD_SLOTS = {
+    name: (
+        kind,
+        tuple((f".{name}[{i}]", i) for i in range(_MAX_LIST_LEN[name]))
+        if is_list
+        else ((f".{name}", None),),
+    )
+    for name, kind, is_list in _RECORD_FIELDS
+}
+
 
 class NavLedger:
     """All per-node navigation records, each charged to its owning agent."""
@@ -121,10 +133,16 @@ class NavLedger:
 
     # ------------------------------------------------------------- mutation
     def update(self, node: int, **changes) -> None:
-        """Mutate record fields and refresh the owner's memory charge."""
+        """Mutate record fields and charge the changed ones to the owner.
+
+        Only the fields named in ``changes`` are recharged, in
+        ``_RECORD_FIELDS`` order; the others hold the values their last
+        charge wrote, so the owner's running bit total passes through the
+        same values, and reaches the same peak, as a full recharge would.
+        """
         record = self._records[node]
         for name, value in changes.items():
-            if not hasattr(record, name):
+            if name not in _FIELD_SLOTS:
                 raise AttributeError(f"NavRecord has no field {name!r}")
             if name in _MAX_LIST_LEN and isinstance(value, list):
                 if len(value) > _MAX_LIST_LEN[name]:
@@ -133,7 +151,9 @@ class NavLedger:
                         f"(got {len(value)}); the sibling-pointer chunking was violated"
                     )
             setattr(record, name, value)
-        self._charge(node, self._owners[node], record)
+        self._charge(
+            node, self._owners[node], record, [name for name in _FIELD_SLOTS if name in changes]
+        )
 
     def append_child_port(self, node: int, port: int) -> None:
         """Append a port to the node's first child group (ports of children 1..3)."""
@@ -146,27 +166,27 @@ class NavLedger:
         self.update(node, sibling_group=record.sibling_group + [port])
 
     # ------------------------------------------------------------ accounting
-    @staticmethod
-    def _field_names(node: int):
-        for name, kind, is_list in _RECORD_FIELDS:
-            if is_list:
-                for i in range(_MAX_LIST_LEN[name]):
-                    yield f"nav[{node}].{name}[{i}]", kind, name, i
-            else:
-                yield f"nav[{node}].{name}", kind, name, None
-
-    def _charge(self, node: int, owner: Agent, record: NavRecord) -> None:
-        for mem_name, kind, attr, index in self._field_names(node):
-            value = getattr(record, attr)
-            if index is not None:
-                value = value[index] if index < len(value) else None
-            if value is None:
-                owner.memory.declare(mem_name, kind)
-                owner.memory.write(mem_name, None)
-            else:
-                owner.memory.write(mem_name, value, kind)
+    def _charge(
+        self, node: int, owner: Agent, record: NavRecord, names: Iterable[str] = _FIELD_SLOTS
+    ) -> None:
+        """Write the slots of the ``names`` fields (default: all) to the
+        owner's memory; an unset slot is cleared."""
+        memory = owner.memory
+        prefix = f"nav[{node}]"
+        for name in names:
+            kind, slots = _FIELD_SLOTS[name]
+            value = getattr(record, name)
+            for suffix, index in slots:
+                if index is None:
+                    memory.write(prefix + suffix, value, kind)
+                else:
+                    memory.write(
+                        prefix + suffix, value[index] if index < len(value) else None, kind
+                    )
 
     def _discharge(self, node: int, owner: Agent) -> None:
-        for mem_name, kind, _attr, _index in self._field_names(node):
-            owner.memory.declare(mem_name, kind)
-            owner.memory.write(mem_name, None)
+        memory = owner.memory
+        prefix = f"nav[{node}]"
+        for kind, slots in _FIELD_SLOTS.values():
+            for suffix, _index in slots:
+                memory.write(prefix + suffix, None, kind)

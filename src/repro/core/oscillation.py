@@ -20,9 +20,10 @@ Two layers live here:
 * *static* helpers (:func:`build_trip`, :func:`max_trip_length`) used by the
   Figure-2/3/4 analyses and by property tests of Lemma 2,
 * the *runtime* :class:`Oscillator` state machine that the SYNC dispersion
-  engine steps every round; it physically moves the settler, restarts its trip
-  when its covered set changes, drops covered nodes once somebody settles on
-  them, and returns home when it has nothing left to cover.
+  driver steps every round; it physically moves the settler along trips built
+  from its covered set, picks up cover changes on its next trip (the driver
+  drops a covered node once somebody settles on it), and returns home when it
+  has nothing left to cover.
 """
 
 from __future__ import annotations
@@ -87,14 +88,20 @@ def max_trip_length(covered: Sequence[CoveredNode]) -> int:
 class Oscillator:
     """Runtime oscillation state machine for one settled agent.
 
-    The SYNC engine calls :meth:`plan_step` once per round *before* executing
-    the round to obtain the port (if any) this oscillator moves through, and
-    :meth:`after_step` after the round so the oscillator can react to what it
-    finds at its current node (e.g. a newly settled agent on a covered node).
+    The current trip is a tuple of ports plus a cursor.  A trip is built, in
+    one pass over :attr:`covered`, only when it starts: a full round-robin
+    trip from home, or the direct path home when the oscillator is away with
+    no trip left.  Each round the SYNC driver's ``tick`` calls
+    :meth:`plan_step` *before* the engine round to read the next port
+    (``None`` to stay put).  A cover dropped mid-trip still gets its visit in
+    the current trip and is left out of the next one.
 
-    The oscillator's walk is driven entirely by a pre-planned list of ports from
-    its home; it never needs more than O(1) port fields, which matches the
-    memory accounting done by the caller.
+    After the round, ``tick`` asks the kernel whether another agent has
+    settled at the node the oscillator stands on, but only when the
+    oscillator :meth:`covers` that node; a yes calls :meth:`drop_cover`.
+
+    The walk never needs more than O(1) port fields, which matches the memory
+    accounting done by the caller.
     """
 
     def __init__(self, agent: Agent, home: int, graph: PortLabeledGraph) -> None:
@@ -102,90 +109,93 @@ class Oscillator:
         self.home = home
         self.graph = graph
         self.covered: List[CoveredNode] = []
-        self._plan: List[int] = []       # ports still to traverse in the current trip
-        self._plan_pos: int = 0
-        self._returning_home: bool = False
+        self._trip: Tuple[int, ...] = ()  # ports of the current trip
+        self._cursor: int = 0             # index of the next port in ``_trip``
         self._stopped = False
         agent.role = AgentRole.OSCILLATOR
 
     # ------------------------------------------------------------ assignment
     def add_cover(self, node: int, route_out: Sequence[int]) -> None:
         """Start covering ``node`` (reached from home via ``route_out`` ports)."""
-        if any(c.node == node for c in self.covered):
+        if self.covers(node):
             return
         self.covered.append(CoveredNode(node=node, route_out=tuple(route_out)))
         # The new node is picked up on the next trip; if the oscillator was
         # parked at home with nothing to do, restart immediately.
-        if not self._plan and self.agent.position == self.home:
-            self._plan = self._full_trip()
-            self._plan_pos = 0
+        if not self._trip and self.agent.position == self.home:
+            self._trip = self._full_trip()
+            self._cursor = 0
 
     def drop_cover(self, node: int) -> None:
         """Stop covering ``node`` (someone settled there)."""
         self.covered = [c for c in self.covered if c.node != node]
 
+    def covers(self, node: int) -> bool:
+        """True when ``node`` is one of this oscillator's covered nodes."""
+        for c in self.covered:
+            if c.node == node:
+                return True
+        return False
+
     @property
     def is_active(self) -> bool:
         """True while the oscillator still has nodes to cover or is not home."""
-        return bool(self.covered) or self.agent.position != self.home or bool(self._plan)
+        return bool(self.covered) or self.agent.position != self.home or bool(self._trip)
 
     # ---------------------------------------------------------------- moves
     def plan_step(self) -> Optional[int]:
         """Port to move through this round, or ``None`` to stay put."""
         if self._stopped:
             return None
-        if not self._plan:
+        trip = self._trip
+        if trip:
+            cursor = self._cursor
+        else:
             if self.agent.position != self.home:
-                # Finish walking home along the remainder of a cleared plan:
-                # this only happens when covers were dropped mid-trip; the
-                # remaining plan always ends at home, so rebuild a direct path.
-                self._plan = self._path_home()
-                self._plan_pos = 0
+                # Away from home with no trip left: walk the direct path home.
+                trip = self._path_home()
             elif self.covered:
-                self._plan = self._full_trip()
-                self._plan_pos = 0
+                trip = self._full_trip()
             else:
                 return None
-        if self._plan_pos >= len(self._plan):
-            self._plan = []
-            self._plan_pos = 0
-            return self.plan_step()
-        port = self._plan[self._plan_pos]
-        self._plan_pos += 1
-        if self._plan_pos >= len(self._plan):
-            self._plan = []
-            self._plan_pos = 0
-        return port
-
-    def after_step(self, settled_here_other: bool) -> None:
-        """Round post-processing: drop covered nodes that acquired a settler."""
-        if settled_here_other:
-            here = self.agent.position
-            if any(c.node == here for c in self.covered):
-                self.drop_cover(here)
+            self._trip = trip
+            cursor = 0
+        self._cursor = cursor + 1
+        if cursor + 1 == len(trip):
+            self._trip = ()
+        return trip[cursor]
 
     # --------------------------------------------------------------- helpers
-    def _full_trip(self) -> List[int]:
-        """Ports of one complete round-robin trip starting and ending at home."""
+    def _full_trip(self) -> Tuple[int, ...]:
+        """Ports of one complete round-robin trip starting and ending at home:
+        every child leg (out and back) in cover order, then, through the
+        common parent, every sibling leg in cover order."""
+        graph = self.graph
+        home = self.home
         ports: List[int] = []
-        children = [c for c in self.covered if not c.is_sibling]
-        siblings = [c for c in self.covered if c.is_sibling]
-        for c in children:
-            out = c.route_out[0]
-            back = self.graph.reverse_port(self.home, out)
-            ports.extend([out, back])
-        if siblings:
-            to_parent = siblings[0].route_out[0]
-            parent = self.graph.neighbor(self.home, to_parent)
+        sibling_legs: List[int] = []
+        to_parent: Optional[int] = None
+        parent = home
+        for c in self.covered:
+            route = c.route_out
+            if len(route) == 2:
+                if to_parent is None:
+                    to_parent = route[0]
+                    parent = graph.neighbor(home, to_parent)
+                out = route[1]
+                sibling_legs.append(out)
+                sibling_legs.append(graph.reverse_port(parent, out))
+            else:
+                out = route[0]
+                ports.append(out)
+                ports.append(graph.reverse_port(home, out))
+        if to_parent is not None:
             ports.append(to_parent)
-            for c in siblings:
-                out = c.route_out[1]
-                back = self.graph.reverse_port(parent, out)
-                ports.extend([out, back])
-            ports.append(self.graph.reverse_port(self.home, to_parent))
-        return ports
+            ports.extend(sibling_legs)
+            ports.append(graph.reverse_port(home, to_parent))
+        return tuple(ports)
 
-    def _path_home(self) -> List[int]:
+    def _path_home(self) -> Tuple[int, ...]:
         """Shortest port path from the current position back home.
 
         The oscillator is always within 2 hops of home, so this is at most two
@@ -194,17 +204,17 @@ class Oscillator:
         """
         start = self.agent.position
         if start == self.home:
-            return []
+            return ()
         # Direct neighbor?
         for port in self.graph.ports(start):
             if self.graph.neighbor(start, port) == self.home:
-                return [port]
+                return (port,)
         # Two hops: via any common neighbor (the parent node of a sibling trip).
         for port in self.graph.ports(start):
             mid = self.graph.neighbor(start, port)
             for port2 in self.graph.ports(mid):
                 if self.graph.neighbor(mid, port2) == self.home:
-                    return [port, port2]
+                    return (port, port2)
         raise AssertionError(
             f"oscillator for agent {self.agent.agent_id} strayed more than 2 hops from home"
         )

@@ -145,7 +145,9 @@ class RootedSyncDispersion:
         self.dfs_parent: List[Optional[int]] = [None] * graph.num_nodes
         self.depth: Dict[int, int] = {}
 
-        self.seekers: List[Agent] = []
+        #: ``A_seeker`` in selection order (an insertion-ordered dict used as
+        #: an ordered set: O(1) membership and removal on a settle).
+        self.seekers: Dict[Agent, None] = {}
         self._declare_leader_fields()
 
     def is_visited(self, node: int) -> bool:
@@ -171,7 +173,7 @@ class RootedSyncDispersion:
             (a for a in self.agents.values() if a is not self.leader and not a.settled),
             key=lambda a: -a.agent_id,
         )
-        self.seekers = candidates[:count]
+        self.seekers = dict.fromkeys(candidates[:count])
         for seeker in self.seekers:
             seeker.role = AgentRole.SEEKER
             seeker.memory.write("probe_port", 0, FieldKind.PORT)
@@ -458,8 +460,7 @@ class RootedSyncDispersion:
             self.metrics.bump("seeker_settled_during_dfs")
         agent = min(pool, key=lambda a: a.agent_id)
         agent.settle(node, parent_port)
-        if agent in self.seekers:
-            self.seekers = [s for s in self.seekers if s is not agent]
+        self.seekers.pop(agent, None)
         self.metrics.bump("settled_during_dfs")
         return agent
 
@@ -474,8 +475,7 @@ class RootedSyncDispersion:
             raise AssertionError(f"no unsettled agent available to settle at node {node}")
         agent = min(candidates, key=lambda a: a.agent_id)
         agent.settle(node, parent_port)
-        if agent in self.seekers:
-            self.seekers = [s for s in self.seekers if s is not agent]
+        self.seekers.pop(agent, None)
         self.ledger.update(node, occupied=True)
         self.ledger.transfer(node, agent)
         self.metrics.bump("settled_during_retraversal")
@@ -485,7 +485,10 @@ class RootedSyncDispersion:
     def tick(self, moves: Dict[int, int]) -> None:
         """Advance one round: controller moves plus all oscillator trips."""
         merged = dict(moves)
-        for osc in self.oscillators.values():
+        oscillators = self.oscillators.values()
+        # Each oscillator reads the next port of its current trip (a trip is
+        # built only when one starts).
+        for osc in oscillators:
             port = osc.plan_step()
             if port is not None:
                 if osc.agent.agent_id in merged:
@@ -495,15 +498,16 @@ class RootedSyncDispersion:
                     )
                 merged[osc.agent.agent_id] = port
         self.engine.step(merged)
-        for osc in self.oscillators.values():
+        # A covered node is dropped only when an agent has *settled at* it
+        # (home == here); another oscillator merely passing through must not
+        # be mistaken for a settler of this node.  The settler query is side
+        # effect free, so it is asked only where its answer can drop a cover:
+        # on one of the oscillator's own covered nodes.
+        kernel = self.engine.kernel
+        for osc in oscillators:
             here = osc.agent.position
-            # A covered node is dropped only when an agent has *settled at* it
-            # (home == here); another oscillator merely passing through must not
-            # be mistaken for a settler of this node.
-            other_settled = self.engine.kernel.has_home_settler(
-                here, osc.agent.agent_id
-            )
-            osc.after_step(other_settled)
+            if osc.covers(here) and kernel.has_home_settler(here, osc.agent.agent_id):
+                osc.drop_cover(here)
 
     def move_group(self, node: int, port: int) -> None:
         """Move every unsettled group member currently at ``node`` through ``port``."""

@@ -81,6 +81,44 @@ class TestAgentMemory:
         mem.write("a", 2)
         assert mem.current_bits == before
 
+    def test_overwrite_keeps_current_and_peak(self):
+        mem = self.make()
+        mem.write("a", 1, FieldKind.PORT)
+        mem.write("b", 5, FieldKind.COUNTER_K)
+        mem.clear("b")  # the peak now sits above the current total
+        current, peak = mem.current_bits, mem.peak_bits
+        assert peak > current
+        mem.write("a", 2, FieldKind.PORT)
+        mem.write("a", 3)
+        assert (mem.current_bits, mem.peak_bits) == (current, peak)
+        assert mem.read("a") == 3
+
+    def test_overwrite_set_field_with_different_kind_rejected(self):
+        mem = self.make()
+        mem.write("a", 1, FieldKind.PORT)
+        current, peak = mem.current_bits, mem.peak_bits
+        with pytest.raises(ValueError):
+            mem.write("a", 2, FieldKind.ID)
+        assert mem.read("a") == 1
+        assert (mem.current_bits, mem.peak_bits) == (current, peak)
+
+    def test_overwrite_set_field_without_kind(self):
+        mem = self.make()
+        mem.write("a", 1, FieldKind.FLAG)
+        mem.write("a", 0)
+        assert mem.read("a") == 0
+        assert mem.current_bits == mem.model.bits(FieldKind.FLAG)
+
+    def test_writing_none_discharges_set_field(self):
+        mem = self.make()
+        mem.write("a", 1, FieldKind.PORT)
+        mem.write("b", 1, FieldKind.ID)
+        mem.write("a", None)
+        mem.write("b", None, FieldKind.ID)
+        assert "a" not in mem and "b" not in mem
+        assert mem.current_bits == 0
+        assert mem.peak_bits == mem.model.bits(FieldKind.PORT) + mem.model.bits(FieldKind.ID)
+
     def test_peak_in_log_units(self):
         mem = self.make()
         mem.write("id", 7, FieldKind.ID)

@@ -168,22 +168,22 @@ class TestOscillatorRuntime:
         settler.settle(0, None)
         other = Agent(2, 3, model)
         other.settle(3, None)
-        eng = SyncEngine(g, [settler, other])
+        walker = Agent(3, 1, model)  # unsettled, parked on leaf 1
+        eng = SyncEngine(g, [settler, other, walker])
         return g, eng, settler, other
 
     def run_rounds(self, eng, osc, rounds):
+        """Step ``osc`` through ``rounds`` rounds of the SYNC driver's ``tick``
+        (trip ports out, engine round, cover check) and list its positions."""
+        from repro.core.rooted_sync import RootedSyncDispersion
+
+        agents = dict(eng.kernel.agents)
+        driver = RootedSyncDispersion(osc.graph, len(agents), engine=eng, agents=agents)
+        driver.oscillators[osc.agent.agent_id] = osc
         visited = []
         for _ in range(rounds):
-            port = osc.plan_step()
-            eng.step({osc.agent.agent_id: port} if port else {})
+            driver.tick({})
             visited.append(osc.agent.position)
-            here = osc.agent.position
-            osc.after_step(
-                any(
-                    a.settled and a.home == here and a.agent_id != osc.agent.agent_id
-                    for a in eng.kernel.agents_at(here)
-                )
-            )
         return visited
 
     def test_oscillator_visits_all_covered_nodes_every_trip(self):
@@ -212,6 +212,46 @@ class TestOscillatorRuntime:
         self.run_rounds(eng, osc, 4)
         assert osc.agent.position == 0
         assert not osc.is_active
+
+    def test_passing_a_settled_uncovered_node_drops_nothing(self):
+        """A sibling trip crosses the parent, which holds a home settler; the
+        parent is not covered, so no cover is dropped there."""
+        from repro.agents.agent import Agent
+        from repro.agents.memory import MemoryModel
+        from repro.sim.sync_engine import SyncEngine
+
+        g = generators.line(3)  # 0 - 1 - 2: home 0, parent 1, sibling 2
+        model = MemoryModel(k=2, max_degree=2)
+        settler = Agent(1, 0, model)
+        settler.settle(0, None)
+        parent_settler = Agent(2, 1, model)
+        parent_settler.settle(1, None)
+        eng = SyncEngine(g, [settler, parent_settler])
+        osc = Oscillator(settler, 0, g)
+        osc.add_cover(2, (g.port_to(0, 1), g.port_to(1, 2)))
+        visited = self.run_rounds(eng, osc, 8)
+        assert visited == [1, 2, 1, 0, 1, 2, 1, 0]
+        assert [c.node for c in osc.covered] == [2]
+
+    def test_cover_dropped_only_when_oscillator_arrives_after_settle(self):
+        g, eng, settler, _ = self.make_engine()
+        walker = next(a for a in eng.kernel.agents.values() if not a.settled)
+        osc = Oscillator(settler, 0, g)
+        osc.add_cover(1, (g.port_to(0, 1),))
+        osc.add_cover(2, (g.port_to(0, 2),))
+        # Node 2 joins from the second trip on (0-1-0-2-0); the unsettled
+        # walker on node 1 does not count as a settler.
+        assert self.run_rounds(eng, osc, 4) == [1, 0, 1, 0]
+        assert osc.covers(1)
+        walker.settle(1, g.port_to(1, 0))
+        # Node 1 stays covered while the oscillator is elsewhere ...
+        for expected in (2, 0):
+            assert self.run_rounds(eng, osc, 1) == [expected]
+            assert osc.covers(1)
+        # ... and is dropped the round it arrives there.
+        assert self.run_rounds(eng, osc, 1) == [1]
+        assert not osc.covers(1)
+        assert osc.covers(2)
 
     def test_oscillator_stop(self):
         g, eng, settler, _ = self.make_engine()
