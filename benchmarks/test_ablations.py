@@ -1,4 +1,7 @@
-"""A1–A3 ablations: design choices called out in DESIGN.md §5.
+"""A1–A3 ablations: design choices behind the reproduction's parameters.
+
+README "Deviations from the paper" lists where the drivers depart from the
+paper; A1 is where the KS collapse walk of that list is exercised.
 
 * A1-subsumption — the KS size rule: total collapse-walk cost over any
   partition of the k agents is O(k) (paper §8, footnote 6).

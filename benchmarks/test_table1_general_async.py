@@ -6,7 +6,7 @@ O(log(k+Δ)) bits (Theorem 8.2).
 Measured here: epochs versus k for ℓ ∈ {2, 3} start nodes under the
 round-robin adversary, and the epochs/(k log k) drift.  As for the SYNC
 general driver, the serialized group schedule makes the measurement a
-conservative upper bound (DESIGN.md §3).
+conservative upper bound (README "Deviations from the paper").
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ O(k) rounds with O(log(k+Δ)) bits (Theorem 8.1).
 
 Measured here: total rounds versus k for ℓ ∈ {2, 4, ⌈√k⌉} start nodes on line
 and ER topologies, plus the rounds/k drift.  The driver serializes the growth
-of the ℓ trees (DESIGN.md §3), so the reported rounds are an upper bound on
-the concurrent schedule -- the linearity check is therefore conservative.
+of the ℓ trees (README "Deviations from the paper"), so the reported rounds are
+an upper bound on the concurrent schedule -- the linearity check is therefore
+conservative.
 """
 
 from __future__ import annotations

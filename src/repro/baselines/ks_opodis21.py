@@ -82,12 +82,6 @@ class KSAsyncDispersion:
         )
 
     # --------------------------------------------------------------- helpers
-    def _settler_at(self, node: int) -> Optional[Agent]:
-        for agent in self.engine.kernel.agents_at(node):
-            if agent.settled and agent.home == node:
-                return agent
-        return None
-
     def _settle_smallest_at(self, node: int, parent_port: Optional[int]) -> Agent:
         candidates = [a for a in self.engine.kernel.agents_at(node) if not a.settled]
         non_leader = [a for a in candidates if a is not self.leader]
@@ -133,7 +127,7 @@ class KSAsyncDispersion:
 
         while self.unsettled.remaining:
             w = self.leader.position
-            settler = self._settler_at(w)
+            settler = self.engine.kernel.home_settler_at(w)
             if settler is None:
                 raise AssertionError(f"expected a settler at visited node {w}")
             degree = self.graph.degree(w)
@@ -145,7 +139,7 @@ class KSAsyncDispersion:
                 settler.memory.write("next_port", next_port, FieldKind.PORT)
                 target = self.graph.neighbor(w, port)
                 yield Move(port)  # scout out
-                occupied = self._settler_at(target) is not None
+                occupied = self.engine.kernel.home_settler_at(target) is not None
                 yield Move(self.graph.reverse_port(w, port))  # scout back
                 self.metrics.bump("scout_trips")
                 if not occupied:

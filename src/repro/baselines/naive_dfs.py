@@ -85,12 +85,6 @@ class NaiveSyncDFS:
         )
 
     # ------------------------------------------------------------- DFS steps
-    def _settler_at(self, node: int) -> Optional[Agent]:
-        for agent in self.engine.kernel.agents_at(node):
-            if agent.settled and agent.home == node:
-                return agent
-        return None
-
     def _settle_smallest_at(self, node: int, parent_port: Optional[int]) -> Agent:
         candidates = [a for a in self.engine.kernel.agents_at(node) if not a.settled]
         # The leader settles only when it is the last unsettled agent.
@@ -104,7 +98,7 @@ class NaiveSyncDFS:
 
     def _next_unvisited_port(self, w: int) -> Optional[int]:
         """Scout unchecked ports of ``w`` one by one; return a port to a fresh node."""
-        settler = self._settler_at(w)
+        settler = self.engine.kernel.home_settler_at(w)
         if settler is None:
             raise AssertionError(f"naive DFS expects a settler at every visited node ({w})")
         next_port = int(settler.memory.read("next_port", 1))
@@ -116,7 +110,7 @@ class NaiveSyncDFS:
             target = self.graph.neighbor(w, port)
             # Scout round trip: leader out, observe, back (2 rounds).
             self.engine.step({self.leader.agent_id: port})
-            occupied = self._settler_at(target) is not None
+            occupied = self.engine.kernel.home_settler_at(target) is not None
             self.engine.step({self.leader.agent_id: self.graph.reverse_port(w, port)})
             self.metrics.bump("scout_trips")
             if not occupied:
@@ -134,7 +128,7 @@ class NaiveSyncDFS:
         self.metrics.bump("forward_moves")
 
     def _backtrack(self, w: int) -> None:
-        settler = self._settler_at(w)
+        settler = self.engine.kernel.home_settler_at(w)
         parent_port = settler.parent_port
         if parent_port is None:
             raise RuntimeError(

@@ -94,7 +94,7 @@ class SudoSyncDispersion:
         classification sound.  Each call still costs only ``O(log min{k, δ_w})``
         iterations thanks to the doubling prober pool.
         """
-        settler = self._settler_at(w)
+        settler = self.engine.kernel.home_settler_at(w)
         checked = 0
         degree = self.graph.degree(w)
         limit = min(self.k, degree)
@@ -121,7 +121,7 @@ class SudoSyncDispersion:
             recruits: List[Tuple[Agent, int]] = []
             for agent, port, target in assigned:
                 back_moves[agent.agent_id] = self.graph.reverse_port(w, port)
-                resident = self._settler_at(target)
+                resident = self.engine.kernel.home_settler_at(target)
                 if resident is None:
                     found = port if found is None else min(found, port)
                 else:
@@ -146,12 +146,6 @@ class SudoSyncDispersion:
         return found
 
     # ------------------------------------------------------------- DFS steps
-    def _settler_at(self, node: int) -> Optional[Agent]:
-        for agent in self.engine.kernel.agents_at(node):
-            if agent.settled and agent.home == node:
-                return agent
-        return None
-
     def _settle_smallest_at(self, node: int, parent_port: Optional[int]) -> Agent:
         candidates = [a for a in self.engine.kernel.agents_at(node) if not a.settled]
         non_leader = [a for a in candidates if a is not self.leader]
@@ -173,7 +167,7 @@ class SudoSyncDispersion:
         self.metrics.bump("forward_moves")
 
     def _backtrack(self, w: int) -> None:
-        settler = self._settler_at(w)
+        settler = self.engine.kernel.home_settler_at(w)
         parent_port = settler.parent_port
         if parent_port is None:
             raise RuntimeError("cannot backtrack from the DFS root with agents unsettled")

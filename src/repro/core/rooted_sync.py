@@ -76,7 +76,8 @@ class RootedSyncDispersion:
         The single node on which all agents start (the "root" of the DFS).
     wait_rounds:
         How long a probing seeker waits at the probed neighbor (paper: 6; the
-        default adds slack for trips that restart mid-assignment, see DESIGN.md).
+        default adds slack for trips that restart mid-assignment, see README
+        "Deviations from the paper").
     strict:
         When True (default), every probe classification is checked against the
         simulator's ground truth and any mismatch raises immediately.

@@ -9,11 +9,11 @@ collapsed tree (cost proportional to its size), and the winner keeps growing.
 
 This module provides the rule and the per-tree accounting used by the general
 drivers and by the ablation benchmark.  Note the scope deviation documented in
-DESIGN.md §3: the end-to-end general drivers in this reproduction serialize the
-growth of the individual DFS trees, in which regime a running tree only ever
-meets trees that are not larger than itself, so the *collapse walk* of KS is
-exercised by unit tests and the ablation benchmark on explicit tree pairs
-rather than inside the end-to-end drivers.
+README "Deviations from the paper": the end-to-end general drivers in this
+reproduction serialize the growth of the individual DFS trees, in which regime
+a running tree only ever meets trees that are not larger than itself, so the
+*collapse walk* of KS is exercised by unit tests and the ablation benchmark on
+explicit tree pairs rather than inside the end-to-end drivers.
 """
 
 from __future__ import annotations

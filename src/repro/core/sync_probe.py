@@ -15,8 +15,9 @@ iterations:
    trip, Lemma 2) -- a seeker that met nobody reports "fully unsettled".
 
 The wait window is ``ctx.wait_rounds`` (paper value 6; default 8 here, see
-DESIGN.md §3.2) and the whole call takes ``O(1)`` rounds (Lemma 4): at most
-``⌈min{k, δ_w} / ⌈k/3⌉⌉ ≤ 3`` iterations of ``wait_rounds + 2`` rounds each.
+README "Deviations from the paper") and the whole call takes ``O(1)`` rounds
+(Lemma 4): at most ``⌈min{k, δ_w} / ⌈k/3⌉⌉ ≤ 3`` iterations of
+``wait_rounds + 2`` rounds each.
 """
 
 from __future__ import annotations

@@ -54,14 +54,22 @@ def test_general_sync_single_root_equivalent_to_rooted():
     assert sorted(result.positions.values()) == list(range(30))
 
 
-def test_general_sync_rejects_overfull():
-    with pytest.raises(ValueError):
-        general_sync_dispersion(generators.line(10), {0: 6, 9: 5})
-
-
-def test_general_sync_rejects_bad_node():
-    with pytest.raises(ValueError):
-        general_sync_dispersion(generators.line(10), {42: 3})
+@pytest.mark.parametrize(
+    "run", [general_sync_dispersion, general_async_dispersion], ids=["sync", "async"]
+)
+@pytest.mark.parametrize(
+    "placements,message",
+    [
+        ({0: 6, 9: 5}, "k=11 agents cannot disperse on n=10 nodes"),
+        ({42: 3}, "placement node 42 is not in the graph"),
+        ({0: 3, 5: 0}, "every placement must contain at least one agent"),
+        ({}, "need at least one start node"),
+    ],
+    ids=["overfull", "bad-node", "zero-count", "empty"],
+)
+def test_general_drivers_reject_bad_placements(run, placements, message):
+    with pytest.raises(ValueError, match=message):
+        run(generators.line(10), placements)
 
 
 def test_general_sync_crowded_graph_uses_scatter_when_blocked():

@@ -68,8 +68,8 @@ def test_ours_beats_edge_bound_baseline_on_dense_graphs():
 def test_async_ours_vs_ks_on_dense_graph():
     """ASYNC Table-1 separation: O(k log k) vs O(min{m, kΔ}) = Θ(k²) on K_k.
 
-    The crossover sits around k ≈ 24–32 on complete graphs (measured in
-    EXPERIMENTS.md); k = 32 is safely past it.
+    The crossover sits around k ≈ 24–32 on complete graphs; k = 32 is safely
+    past it.
     """
     k = 32
     ours = rooted_async_dispersion(
